@@ -86,7 +86,8 @@ class _NodeRun:
         self.microtasks: dict[str, Microtask] = {}
         self.truths: dict[str, str] = {}
         self.wtasks: dict[str, WTask] = {}
-        self.open_wtasks: list[str] = []
+        self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
+        self.open_set: set[str] = set()  # the members of open_wtasks
         self.machine_votes: dict[str, list[str]] = {}
         self.machine_want: dict[str, int] = {}
         self.results: dict[str, ConsensusResult] = {}
@@ -113,12 +114,14 @@ class _NodeRun:
         return agreed / len(self.results)
 
     def reopen(self, microtask_id: str) -> None:
-        if microtask_id not in self.open_wtasks:
+        if microtask_id not in self.open_set:
+            self.open_set.add(microtask_id)
             bisect.insort(self.open_wtasks, microtask_id)
 
     def close(self, microtask_id: str) -> None:
-        if microtask_id in self.open_wtasks:
-            self.open_wtasks.remove(microtask_id)
+        if microtask_id in self.open_set:
+            self.open_set.remove(microtask_id)
+            del self.open_wtasks[bisect.bisect_left(self.open_wtasks, microtask_id)]
 
     def unpicked_human_ids(self) -> list[str]:
         return [
@@ -128,11 +131,11 @@ class _NodeRun:
         ]
 
     def check_conservation(self) -> None:
-        counts = {status: 0 for status in MicrotaskStatus}
-        for microtask in self.microtasks.values():
-            counts[microtask.status] += 1
-        total = sum(counts.values())
-        if total != self.node.microtask_count:
+        # every microtask has exactly one status, so the tally sums to the count
+        if len(self.microtasks) != self.node.microtask_count:
+            counts = {status: 0 for status in MicrotaskStatus}
+            for microtask in self.microtasks.values():
+                counts[microtask.status] += 1
             raise RuntimeError(
                 f"conservation broken on node {self.node.id}: {counts} != {self.node.microtask_count}"
             )
@@ -141,6 +144,7 @@ class _NodeRun:
 class _MachineStation:
     def __init__(self, profile: MachineAgentProfile):
         self.profile = profile
+        self.cost_micros = profile.cost_micros
         self.in_flight: dict[int, tuple[str, str, SimEvent]] = {}
         self._ticket = 0
 
@@ -192,6 +196,8 @@ class ExecutionEngine:
         self.task_slo = graph.task_slo
         self.node_slos = derive_node_slos(graph)
         self.ledger = BudgetLedger(self.task_slo.budget_micros)
+        self.base_reward_micros = config.reward_micros
+        self.min_reward_by_class = {w.name: w.min_reward_micros for w in pool.workers}
         self.runs: dict[str, _NodeRun] = {}
         self.completed_nodes: set[str] = set()
         self.activated_nodes: set[str] = set()
@@ -350,7 +356,7 @@ class ExecutionEngine:
             self._finalize_node(run)
             return
 
-        reward = run.state.current_reward_micros(self.config.reward_micros)
+        reward = run.state.current_reward_micros(self.base_reward_micros)
         for mt_id in sorted(run.microtasks):
             microtask = run.microtasks[mt_id]
             if microtask.route is Route.HUMAN:
@@ -432,29 +438,41 @@ class ExecutionEngine:
         self._dispatch_workers()
 
     def _dispatch_workers(self) -> None:
-        placed = True
-        while placed:
-            placed = False
-            for agent_id in self.pool.idle_workers():
-                placement = self._find_slot(agent_id)
-                if placement is None:
-                    continue
+        # A placement only takes options away from the workers after it: a
+        # slot fills, only the placed agent gains a live assignment, headroom
+        # falls, and a first pickup's window ends at or after now.  So one
+        # sweep over the idle workers fills every slot they can take.  For
+        # the same reason a node whose reward exceeds the headroom now cannot
+        # place anyone in this dispatch, and is left out before the sweep.
+        now = self.sim.now
+        headroom = self.ledger.headroom_micros
+        candidates = []
+        for run in self._active_runs():
+            if now >= run.deadline or not run.open_wtasks:
+                continue
+            reward = run.state.current_reward_micros(self.base_reward_micros)
+            if reward <= headroom:
+                candidates.append((run, reward))
+        if not candidates:
+            return
+        for agent_id in self.pool.idle_workers():
+            placement = self._find_slot(agent_id, candidates)
+            if placement is not None:
                 run, mt_id, reward = placement
                 self._issue(run, mt_id, agent_id, reward)
-                placed = True
 
-    def _find_slot(self, agent_id: str) -> tuple[_NodeRun, str, int] | None:
-        worker_class = self.pool.class_of(agent_id)
-        for run in self._active_runs():
-            if self.sim.now >= run.deadline:
-                continue
-            reward = run.state.current_reward_micros(self.config.reward_micros)
-            if worker_class.min_reward_micros > reward:
+    def _find_slot(
+        self, agent_id: str, candidates: list[tuple[_NodeRun, int]]
+    ) -> tuple[_NodeRun, str, int] | None:
+        min_reward = self.min_reward_by_class[self.pool.class_of(agent_id).name]
+        now = self.sim.now
+        for run, reward in candidates:
+            if min_reward > reward:
                 continue
             for mt_id in run.open_wtasks:
                 wtask = run.wtasks[mt_id]
-                if self.sim.now > wtask.completion_deadline:
-                    continue
+                if now > wtask.completion_deadline:
+                    continue  # an earlier event this tick beat the window's sweep
                 if wtask.has_live_assignment_for(agent_id):
                     continue
                 if not self.ledger.commit(reward):
@@ -604,9 +622,12 @@ class ExecutionEngine:
             return
         mt_id = payload["microtask"]
         wtask = run.wtasks.get(mt_id)
-        if wtask is None:
+        if wtask is None or self.sim.now <= wtask.completion_deadline:
             return
-        overdue = list(wtask.pending()) if self.sim.now > wtask.completion_deadline else []
+        # nothing reopens a w-task after its window, so it leaves the open
+        # list here even when no assignment was pending
+        run.close(mt_id)
+        overdue = wtask.pending()
         expire_overdue([wtask], self.sim.now)
         for record in overdue:
             self.ledger.settle_timeout(record.reward_micros)
@@ -683,7 +704,7 @@ class ExecutionEngine:
             station = next((s for s in self.stations if s.free_capacity > 0), None)
             if station is None:
                 return
-            cost = station.profile.cost_micros
+            cost = station.cost_micros
             if not self.ledger.commit(cost):
                 return  # head of line blocks until budget frees up
             self.machine_queue.popleft()
@@ -723,8 +744,8 @@ class ExecutionEngine:
         answer = answer_microtask(
             profile.accuracy, run.domain, run.truths[mt_id], answer_rng
         )
-        self.ledger.settle_return(profile.cost_micros)
-        run.spend_micros += profile.cost_micros
+        self.ledger.settle_return(station.cost_micros)
+        run.spend_micros += station.cost_micros
         run.machine_votes.setdefault(mt_id, []).append(answer)
         self.emit(
             "machine_done",
@@ -733,7 +754,7 @@ class ExecutionEngine:
             profile=profile.name,
             answer=answer,
             correct=answer == run.truths[mt_id],
-            cost=profile.cost_micros,
+            cost=station.cost_micros,
             **self._ledger_fields(),
         )
         if len(run.machine_votes[mt_id]) >= run.machine_want.get(mt_id, 1):
@@ -758,7 +779,7 @@ class ExecutionEngine:
 
         now_units = min(to_units(now), run.slo.deadline)
         rate = run.consensus_rate_so_far()
-        reward = run.state.current_reward_micros(self.config.reward_micros)
+        reward = run.state.current_reward_micros(self.base_reward_micros)
         risks = assess_risk(
             run.state,
             run.slo,
@@ -899,7 +920,7 @@ class ExecutionEngine:
                 node_id, _, event = station.in_flight[ticket]
                 if node_id == run.node.id:
                     self.sim.cancel(event)
-                    self.ledger.settle_timeout(station.profile.cost_micros)
+                    self.ledger.settle_timeout(station.cost_micros)
                     del station.in_flight[ticket]
         self.machine_queue = deque(
             item for item in self.machine_queue if item[0] != run.node.id

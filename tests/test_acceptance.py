@@ -1,5 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (run pytest with -s or read test_output.txt)."""
+PASS/FAIL line (run pytest with -s to see them)."""
 
 import hashlib
 import itertools
