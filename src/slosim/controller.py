@@ -9,7 +9,7 @@ functions of (state, observations, config) so traces are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .slo import SloSpec
@@ -95,11 +95,9 @@ class ControllerState:
     hm_ratio: float
     ewma_alpha: float = 0.5
     completion_rate: float | None = None  # EWMA, microtasks per time unit
-    poll_index: int = 0
     n_human: int = 0
     n_machine: int = 0
     incentive_multiplier: float = 1.0
-    risk_flags: set[RiskFlag] = field(default_factory=set)
 
     def current_reward_micros(self, base_reward_micros: int) -> int:
         return int(math.floor(base_reward_micros * self.incentive_multiplier + 0.5))
@@ -145,13 +143,6 @@ class BudgetLedger:
         if reward_micros > self.committed_micros:
             raise ValueError("releasing more than is committed")
         self.committed_micros -= reward_micros
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "spent": self.spent_micros,
-            "committed": self.committed_micros,
-            "budget": self.budget_micros,
-        }
 
 
 def partition(n: int, hm_ratio: float) -> tuple[int, int]:
@@ -217,7 +208,6 @@ def assess_risk(
     if headroom_micros < reward_micros:
         flags.add(RiskFlag.BUDGET_EXHAUSTED)
 
-    state.risk_flags = set(flags)
     return flags
 
 

@@ -43,7 +43,7 @@ from .tasks import (
 )
 from .trace import NodeSummary, RunSummary, TraceWriter, summarize
 from .units import TICKS_PER_UNIT, to_ticks, to_units
-from .voting import ConsensusResult, ConsensusStatus, VoteSet, majority_vote
+from .voting import ConsensusResult, ConsensusStatus, VoteSet, majority_vote, node_consensus_rate
 from .workflow import AgentTag, WorkflowGraph, WorkflowNode, derive_node_slos, ready_nodes, validate
 
 RejectPredicate = Callable[[str, str, str], bool]
@@ -104,14 +104,6 @@ class _NodeRun:
     @property
     def evaluated_count(self) -> int:
         return len(self.final)
-
-    def consensus_rate_so_far(self) -> float:
-        if not self.results:
-            return 0.0
-        agreed = sum(
-            1 for r in self.results.values() if r.status is ConsensusStatus.CONSENSUS
-        )
-        return agreed / len(self.results)
 
     def reopen(self, microtask_id: str) -> None:
         if microtask_id not in self.open_set:
@@ -211,13 +203,13 @@ class ExecutionEngine:
     # -- helpers --------------------------------------------------------------
 
     def emit(self, kind: str, **fields: Any) -> None:
-        self.writer.emit(self.sim.now, kind, **fields)
+        self.writer.emit(self.sim.now, kind, fields)
 
-    def _ledger_fields(self) -> dict[str, int]:
-        return {
-            "spent": self.ledger.spent_micros,
-            "committed": self.ledger.committed_micros,
-        }
+    def _emit_ledger(self, kind: str, **fields: Any) -> None:
+        """Emit a record that also carries the ledger's spent and committed."""
+        fields["spent"] = self.ledger.spent_micros
+        fields["committed"] = self.ledger.committed_micros
+        self.writer.emit(self.sim.now, kind, fields)
 
     def _slo_fields(self, slo: SloSpec) -> dict[str, Any]:
         return {
@@ -268,11 +260,10 @@ class ExecutionEngine:
         for run in self._active_runs():
             self._finalize_node(run)
         finish = max((r.finish_tick or 0 for r in self.runs.values()), default=0)
-        self.emit(
+        self._emit_ledger(
             "run_end",
             finish=finish,
             events=self.sim.end_report(),
-            **self._ledger_fields(),
         )
         self.writer.close()
         return self.writer.records
@@ -500,14 +491,13 @@ class ExecutionEngine:
                 )
         if wtask.open_slots == 0:
             run.close(mt_id)
-        self.emit(
+        self._emit_ledger(
             "assignment_issued",
             node=run.node.id,
             microtask=mt_id,
             agent=agent_id,
             cls=worker_class.name,
             reward=reward,
-            **self._ledger_fields(),
         )
         service_rng = self.sim.rng(f"service/{worker_class.name}")
         service = max(1, to_ticks(worker_class.service_time.sample(service_rng)))
@@ -556,7 +546,7 @@ class ExecutionEngine:
         if record.outcome is AssignmentOutcome.RETURNED:
             self.ledger.settle_return(record.reward_micros)
             run.spend_micros += record.reward_micros
-            self.emit(
+            self._emit_ledger(
                 "assignment_returned",
                 node=node_id,
                 microtask=mt_id,
@@ -566,7 +556,6 @@ class ExecutionEngine:
                 correct=answer == run.truths[mt_id],
                 service=self.sim.now - record.issued_at,
                 reward=record.reward_micros,
-                **self._ledger_fields(),
             )
             if wtask.state is WTaskState.DONE:
                 self._evaluate_votes(run, mt_id)
@@ -574,7 +563,7 @@ class ExecutionEngine:
             # late or rejected: discard, release the reservation, reopen the slot
             self.ledger.settle_timeout(record.reward_micros)
             run.timed_out_since_poll += 1
-            self.emit(
+            self._emit_ledger(
                 "assignment_timeout",
                 node=node_id,
                 microtask=mt_id,
@@ -582,7 +571,6 @@ class ExecutionEngine:
                 cls=worker_class.name,
                 reward=record.reward_micros,
                 rejected=rejected,
-                **self._ledger_fields(),
             )
             self._after_slot_freed(run, wtask, mt_id)
 
@@ -633,7 +621,7 @@ class ExecutionEngine:
             self.ledger.settle_timeout(record.reward_micros)
             run.timed_out_since_poll += 1
             worker_class = self.pool.class_of(record.agent_id)
-            self.emit(
+            self._emit_ledger(
                 "assignment_timeout",
                 node=run.node.id,
                 microtask=mt_id,
@@ -641,7 +629,6 @@ class ExecutionEngine:
                 cls=worker_class.name,
                 reward=record.reward_micros,
                 rejected=False,
-                **self._ledger_fields(),
             )
         if overdue:
             self._after_slot_freed(run, wtask, mt_id)
@@ -721,13 +708,12 @@ class ExecutionEngine:
             )
             ticket = station.take(node_id, mt_id, event)
             event.payload["ticket"] = ticket
-            self.emit(
+            self._emit_ledger(
                 "machine_dispatched",
                 node=node_id,
                 microtask=mt_id,
                 profile=station.profile.name,
                 cost=cost,
-                **self._ledger_fields(),
             )
 
     def _on_machine_done(self, payload: dict[str, Any]) -> None:
@@ -747,7 +733,7 @@ class ExecutionEngine:
         self.ledger.settle_return(station.cost_micros)
         run.spend_micros += station.cost_micros
         run.machine_votes.setdefault(mt_id, []).append(answer)
-        self.emit(
+        self._emit_ledger(
             "machine_done",
             node=node_id,
             microtask=mt_id,
@@ -755,7 +741,6 @@ class ExecutionEngine:
             answer=answer,
             correct=answer == run.truths[mt_id],
             cost=station.cost_micros,
-            **self._ledger_fields(),
         )
         if len(run.machine_votes[mt_id]) >= run.machine_want.get(mt_id, 1):
             self._evaluate_votes(run, mt_id)
@@ -778,7 +763,7 @@ class ExecutionEngine:
             run.state.completion_rate = 0.0
 
         now_units = min(to_units(now), run.slo.deadline)
-        rate = run.consensus_rate_so_far()
+        rate = node_consensus_rate(run.results.values())
         reward = run.state.current_reward_micros(self.base_reward_micros)
         risks = assess_risk(
             run.state,
@@ -790,7 +775,7 @@ class ExecutionEngine:
             self.ledger.headroom_micros,
             reward,
         )
-        self.emit(
+        self._emit_ledger(
             "poll",
             node=run.node.id,
             index=payload["index"],
@@ -800,7 +785,6 @@ class ExecutionEngine:
             evaluated=run.evaluated_count,
             total=run.node.microtask_count,
             consensus_rate=rate,
-            **self._ledger_fields(),
         )
 
         unresolved = run.node.microtask_count - run.evaluated_count
@@ -824,7 +808,6 @@ class ExecutionEngine:
         run.timed_out_since_poll = 0
         run.evaluated_at_last_poll = run.evaluated_count
         run.last_poll_tick = now
-        run.state.poll_index = payload["index"] + 1
 
         if not run.finished and now >= run.deadline:
             self._finalize_node(run)
@@ -873,13 +856,12 @@ class ExecutionEngine:
                 return
             wtask.want_votes += 1
             run.reopen(mt_id)
-            extra = {"want_votes": wtask.want_votes}
+            want = wtask.want_votes
         else:
-            run.machine_want[mt_id] = run.machine_want.get(mt_id, 0) + 1
+            want = run.machine_want[mt_id] = run.machine_want.get(mt_id, 0) + 1
             self.machine_queue.append((run.node.id, mt_id))
-            extra = {"want_votes": run.machine_want[mt_id]}
         run.no_consensus_pending.discard(mt_id)
-        self.emit("escalated", node=run.node.id, microtask=mt_id, **extra)
+        self.emit("escalated", node=run.node.id, microtask=mt_id, want_votes=want)
 
     def _on_script(self, payload: dict[str, Any]) -> None:
         action = payload["action"]
@@ -903,7 +885,7 @@ class ExecutionEngine:
                 record.outcome = AssignmentOutcome.TIMED_OUT
                 self.ledger.settle_timeout(record.reward_micros)
                 worker_class = self.pool.class_of(record.agent_id)
-                self.emit(
+                self._emit_ledger(
                     "assignment_timeout",
                     node=run.node.id,
                     microtask=mt_id,
@@ -911,7 +893,6 @@ class ExecutionEngine:
                     cls=worker_class.name,
                     reward=record.reward_micros,
                     rejected=False,
-                    **self._ledger_fields(),
                 )
 
         # cancel this node's machine work still in stations or queued

@@ -81,7 +81,6 @@ class WTask:
     microtask_id: str
     replication_w: int
     completion_deadline: int
-    expiry_deadline: int
     want_votes: int = 0  # replication_w plus escalation extras
     assignments: list[AssignmentRecord] = field(default_factory=list)
 
@@ -151,7 +150,6 @@ def spawn_wtask(
         microtask_id=microtask.id,
         replication_w=w,
         completion_deadline=completion,
-        expiry_deadline=expiry,
     )
 
 

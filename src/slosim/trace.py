@@ -17,8 +17,16 @@ from .units import TICKS_PER_UNIT, to_money
 TRACE_SCHEMA = 1
 
 
+# One encoder and one decoder for every record: json.dumps with non-default
+# arguments builds a new encoder per call, and json.loads rescans for
+# whitespace that read_trace has already stripped.  Records are flat dicts,
+# so the encoder skips the circular-reference check.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def dump_record(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _encode(record)
 
 
 class TraceWriter:
@@ -32,13 +40,15 @@ class TraceWriter:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._stream = open(self.path, "w", encoding="utf-8", newline="\n")
 
-    def emit(self, time: int, kind: str, **fields: Any) -> dict[str, Any]:
-        record = {"time": time, "kind": kind, **fields}
-        self.records.append(record)
+    def emit(self, time: int, kind: str, fields: dict[str, Any]) -> dict[str, Any]:
+        """Record `fields` plus time and kind.  `fields` itself becomes the
+        record, so callers pass a dict of their own and do not reuse it."""
+        fields["time"] = time
+        fields["kind"] = kind
+        self.records.append(fields)
         if self._stream is not None:
-            self._stream.write(dump_record(record))
-            self._stream.write("\n")
-        return record
+            self._stream.write(dump_record(fields) + "\n")
+        return fields
 
     def close(self) -> None:
         if self._stream is not None:
@@ -60,9 +70,12 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
+            records.append(record)
     return records
 
 

@@ -1,6 +1,11 @@
 """Golden traces: the trace file of each pinned run must stay byte for byte
 what it is.  A refactor or speed-up of the engine keeps every digest; a PR
-that changes behaviour on purpose updates them and says so."""
+that changes behaviour on purpose updates them and says so.
+
+Each pinned run also checks the round trip between memory and file: the file
+holds exactly `dump_record` of each in-memory record, one per line (the bytes
+the benchmark hashes for its in-memory workloads), and `read_trace` of the
+file gives back records equal to `RunResult.records`."""
 
 import hashlib
 
@@ -9,6 +14,7 @@ import pytest
 
 from slosim.runner import run
 from slosim.scenario import load_scenario, scenario_from_dict
+from slosim.trace import dump_record, read_trace
 
 from conftest import SCENARIOS_DIR
 from test_acceptance import _random_budget_scenario
@@ -27,8 +33,11 @@ C05_SHA256 = "1256cfc507a776a3aaee7fa6c7fa6b861bae2730321e965bfe0cbdfb8c27c7eb"
 
 
 def _trace_sha256(scenario, path) -> str:
-    run(scenario, trace_path=path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    result = run(scenario, trace_path=path)
+    data = path.read_bytes()
+    assert data == "".join(dump_record(r) + "\n" for r in result.records).encode("utf-8")
+    assert read_trace(path) == result.records
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
