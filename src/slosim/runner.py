@@ -26,7 +26,7 @@ from .controller import (
     poll_instants,
     update_rho,
 )
-from .scenario import Scenario
+from .scenario import Scenario, controller_to_dict
 from .sim import EmptyQueue, EventKind, HorizonExceeded, SimEvent, Simulation
 from .slo import SloSpec
 from .tasks import (
@@ -235,7 +235,7 @@ class ExecutionEngine:
             digest=self.digest,
             seed=self.sim.seed,
             time_unit=self.time_unit,
-            config=self._config_fields(),
+            config=controller_to_dict(self.config),
             task_slo=self._slo_fields(self.task_slo),
             overrides=list(self.overrides),
         )
@@ -267,23 +267,6 @@ class ExecutionEngine:
         )
         self.writer.close()
         return self.writer.records
-
-    def _config_fields(self) -> dict[str, Any]:
-        c = self.config
-        return {
-            "polling_intervals": c.polling_intervals,
-            "initial_hm_ratio": c.initial_hm_ratio,
-            "replication_w": c.replication_w,
-            "reward_per_assignment": c.reward_per_assignment,
-            "ewma_alpha": c.ewma_alpha,
-            "incentive_step": c.incentive_step,
-            "hm_ratio_decay": c.hm_ratio_decay,
-            "vote_rule": c.vote_rule,
-            "machine_replication": c.machine_replication,
-            "incentive_elasticity": c.incentive_elasticity,
-            "assignment_window": c.assignment_window,
-            "corrections_enabled": c.corrections_enabled,
-        }
 
     def _all_finished(self) -> bool:
         return len(self.completed_nodes) == len(self.graph.nodes)
@@ -327,10 +310,12 @@ class ExecutionEngine:
             slo=self._slo_fields(slo),
         )
 
+        # one call for all n truths; it leaves the stream where n scalar draws would
         truth_rng = self.sim.rng(f"truth/{node_id}")
-        for i in range(n):
+        truth_indices = truth_rng.integers(len(domain), size=n).tolist()
+        for i, truth_index in enumerate(truth_indices):
             mt_id = f"{node_id}:{i:05d}"
-            truth = domain[int(truth_rng.integers(len(domain)))]
+            truth = domain[truth_index]
             route = Route.HUMAN if i < n_human else Route.MACHINE
             microtask = Microtask(
                 id=mt_id,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +24,12 @@ from .workflow import AgentTag, WorkflowGraph, WorkflowNode, validate
 SCHEMA_VERSION = 1
 
 SCRIPT_ACTIONS = {"set_arrival_rate"}
+
+# libyaml's scanner and parser when PyYAML was built with them; the resolver
+# and constructor are PyYAML's Python code either way, so values are equal.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
 
 
 class ScenarioError(ValueError):
@@ -69,7 +75,10 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
     if not path.exists():
         raise FileNotFoundError(f"scenario file not found: {path}")
     with open(path, "r", encoding="utf-8") as stream:
-        raw = yaml.safe_load(stream)
+        try:
+            raw = yaml.load(stream, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ScenarioError([f"{path}: not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ScenarioError([f"{path}: top level must be a mapping"])
     if overrides:
@@ -94,7 +103,10 @@ def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]
         if "=" not in item:
             raise ScenarioError([f"override must look like key.path=value: {item!r}"])
         dotted, _, text = item.partition("=")
-        value = yaml.safe_load(text)
+        try:
+            value = yaml.load(text, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ScenarioError([f"override {item!r}: not valid YAML: {exc}"]) from exc
         cursor: Any = raw
         parts = dotted.split(".")
         for part in parts[:-1]:
@@ -227,25 +239,10 @@ def _parse_controller(raw: Any, problems: list[str]) -> ControllerConfig:
     if not isinstance(raw, dict):
         problems.append("controller: must be a mapping")
         return ControllerConfig()
-    known = {
-        "polling_intervals",
-        "initial_hm_ratio",
-        "replication_w",
-        "reward_per_assignment",
-        "ewma_alpha",
-        "incentive_step",
-        "hm_ratio_decay",
-        "vote_rule",
-        "machine_replication",
-        "incentive_elasticity",
-        "assignment_window",
-        "corrections_enabled",
-    }
-    unknown = set(raw) - known
-    for key in sorted(unknown):
+    for key in sorted(set(raw) - set(CONTROLLER_FIELDS)):
         problems.append(f"controller.{key}: unknown field")
     try:
-        return ControllerConfig(**{k: v for k, v in raw.items() if k in known})
+        return ControllerConfig(**{k: v for k, v in raw.items() if k in CONTROLLER_FIELDS})
     except (TypeError, ValueError) as exc:
         problems.append(f"controller: {exc}")
         return ControllerConfig()
@@ -426,6 +423,11 @@ def _parse_script(raw: Any, problems: list[str]) -> list[ScriptEvent]:
     return events
 
 
+def controller_to_dict(config: ControllerConfig) -> dict[str, Any]:
+    """Every ControllerConfig field by name, in declaration order."""
+    return {name: getattr(config, name) for name in CONTROLLER_FIELDS}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Inverse of scenario_from_dict; load(write(s)) == s."""
     nodes = []
@@ -474,21 +476,10 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         for m in scenario.machines
     ]
 
-    controller = {
-        "polling_intervals": scenario.controller.polling_intervals,
-        "initial_hm_ratio": scenario.controller.initial_hm_ratio,
-        "replication_w": scenario.controller.replication_w,
-        "reward_per_assignment": scenario.controller.reward_per_assignment,
-        "ewma_alpha": scenario.controller.ewma_alpha,
-        "incentive_step": scenario.controller.incentive_step,
-        "hm_ratio_decay": scenario.controller.hm_ratio_decay,
-        "vote_rule": scenario.controller.vote_rule,
-        "machine_replication": scenario.controller.machine_replication,
-        "incentive_elasticity": scenario.controller.incentive_elasticity,
-        "corrections_enabled": scenario.controller.corrections_enabled,
-    }
-    if scenario.controller.assignment_window is not None:
-        controller["assignment_window"] = scenario.controller.assignment_window
+    controller = controller_to_dict(scenario.controller)
+    if controller["assignment_window"] is None:
+        # absent, not null: the key set feeds Scenario.digest
+        del controller["assignment_window"]
 
     payload: dict[str, Any] = {
         "schema_version": scenario.schema_version,

@@ -32,6 +32,33 @@ def test_missing_file_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_yaml_is_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("schema_version: 1\nworkflow: [1,\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"invalid: {path}: not valid YAML:")
+    assert "line" in out
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid YAML:")
+    assert "line" in err
+
+
+def test_malformed_override_is_config_error(scenario_file, tmp_path, capsys):
+    bad = "controller.replication_w=[1,"
+    assert main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--set", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: override {bad!r}: not valid YAML:")
+    assert "line" in err
+    argv = ["sweep", str(scenario_file), "--param", "controller.replication_w", "--values", "[1"]
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: override 'controller.replication_w=[1': not valid YAML:")
+    assert "line" in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_run_writes_trace_and_summary(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(scenario_file), "--out", str(out)]) == 0

@@ -1,5 +1,9 @@
-import pytest
+import json
 
+import pytest
+import yaml
+
+from slosim import scenario as scenario_module
 from slosim.scenario import (
     ScenarioError,
     apply_overrides,
@@ -159,3 +163,59 @@ def test_to_dict_matches_source(scenario_dict):
     raw = scenario_dict()
     scenario = scenario_from_dict(raw)
     assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+# -- libyaml and pure-Python loaders ----------------------------------------------
+
+YAML_EDGE_CASES = {
+    "anchors": "base: &b {x: 1, y: [a, b]}\ncopy: *b\nlist: [*b, *b]\n",
+    "merge_keys": "base: &b {x: 1, y: 2}\nchild:\n  <<: *b\n  y: 3\nmulti:\n  <<: [*b, {z: 4}]\n",
+    "booleans": "a: yes\nb: no\nc: on\nd: off\ne: Yes\nf: OFF\ng: true\nh: y\ni: n\n",
+    "ints": "under: 1_000\noctal_o: 0o17\noctal: 017\nhex: 0x1F\nbin: 0b101\nsigned: -0\n",
+    "sexagesimal": "t: 1:30\nf: 1:30.5\nneg: -2:05\n",
+    "floats": "a: .inf\nb: -.Inf\nc: .nan\nd: 1e3\ne: 1.0e+3\nf: 6.8523015e+5\ng: 1_0.5\n",
+    "dates": "d: 2001-12-14\nts: 2001-12-14t21:59:43.10-05:00\nspace: 2001-12-14 21:59:43.10 -5\n",
+    "empty": "a:\nb: ~\nc: null\nd: ''\ne: []\nf: {}\n? g\n",
+    "block_scalars": (
+        "lit: |\n  one\n   two\n\nfold: >-\n  one\n  two\n\n  three\nkeep: |+\n  end\n\n"
+    ),
+    "quoting": "a: '1'\nb: \"yes\"\nc: 'it''s'\nd: \"tab\\there\"\ne: !!str 12\nf: !!float 3\n",
+}
+
+
+def _as_json(text: str, loader: type) -> str:
+    return json.dumps(yaml.load(text, Loader=loader), sort_keys=True, default=repr)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_loader_matches_pure_python(scenarios_dir):
+    assert scenario_module.YAML_LOADER is yaml.CSafeLoader
+    paths = sorted(scenarios_dir.glob("*.yaml"))
+    texts = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    assert texts
+    texts.update(YAML_EDGE_CASES)
+    for name, text in texts.items():
+        assert _as_json(text, yaml.CSafeLoader) == _as_json(text, yaml.SafeLoader), name
+
+
+def test_pure_python_fallback_loads_equal_scenarios(scenarios_dir, monkeypatch):
+    paths = sorted(scenarios_dir.glob("*.yaml"))
+    assert paths
+    loaded = [load_scenario(path) for path in paths]
+    monkeypatch.setattr(scenario_module, "YAML_LOADER", yaml.SafeLoader)
+    for path, scenario in zip(paths, loaded):
+        fallback = load_scenario(path)
+        assert fallback == scenario, path.name
+        assert fallback.digest() == scenario.digest(), path.name
+
+
+def test_controller_fields_round_trip_and_omit_unset_window(scenario_dict):
+    raw = scenario_dict()
+    scenario = scenario_from_dict(raw)
+    assert "assignment_window" not in scenario_to_dict(scenario)["controller"]
+    raw["controller"]["assignment_window"] = 4.0
+    windowed = scenario_from_dict(raw)
+    controller = scenario_to_dict(windowed)["controller"]
+    assert controller["assignment_window"] == 4.0
+    assert set(controller) == set(scenario_module.CONTROLLER_FIELDS)
+    assert scenario_from_dict(scenario_to_dict(windowed)) == windowed

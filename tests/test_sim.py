@@ -107,3 +107,15 @@ def test_simulation_caches_streams():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         seeded_rng(-1, "x")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_batched_bounded_draw_matches_scalar_draws(k, n):
+    # the engine draws a node's n truths in one call; the values and the
+    # stream state afterwards must be those of n scalar draws
+    for seed in (0, 1, 20260):
+        batched = seeded_rng(seed, "truth/node")
+        scalar = seeded_rng(seed, "truth/node")
+        assert batched.integers(k, size=n).tolist() == [int(scalar.integers(k)) for _ in range(n)]
+        assert batched.random() == scalar.random()
