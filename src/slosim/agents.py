@@ -137,7 +137,8 @@ def invert_majority_accuracy(
     tolerance: float = 1e-9,
 ) -> float:
     """Per-worker accuracy p whose w-replicated majority accuracy hits the
-    target, found by bisection against the enumeration oracle.
+    target, found by bisection on the closed-form binomial tail
+    `majority_accuracy_analytic`, which rises monotonically in p.
 
     Used to calibrate a worker class from an observed aggregate accuracy.
     """

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import reports
 from .runner import run as run_scenario
 from .scenario import ScenarioError, load_scenario
-from .trace import read_trace
+from .trace import RunSummary, read_trace
 from .units import to_money
 
 OUT_DIR_ENV = "SLOSIM_OUT_DIR"
@@ -83,6 +83,10 @@ def _out_dir(flag_value: str | None, default: str) -> Path:
     return path
 
 
+def _write_summary(path: Path, summary: RunSummary) -> None:
+    path.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -104,9 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides=args.overrides,
     )
     summary = result.summary
-    with open(out / "summary.json", "w", encoding="utf-8") as stream:
-        json.dump(summary.to_dict(), stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    _write_summary(out / "summary.json", summary)
     print(f"scenario {summary.scenario} seed {summary.seed}")
     print(
         f"  evaluated {summary.evaluated}/{summary.microtask_total}"
@@ -153,9 +155,7 @@ def _sweep_one(packed: tuple[str, str, str, int | None, str]) -> dict:
         overrides=[override],
     )
     summary = result.summary
-    with open(point_dir / "summary.json", "w", encoding="utf-8") as stream:
-        json.dump(summary.to_dict(), stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    _write_summary(point_dir / "summary.json", summary)
     return {
         "value": value,
         "evaluated": summary.evaluated,

@@ -31,6 +31,7 @@ from .sim import EmptyQueue, EventKind, HorizonExceeded, SimEvent, Simulation
 from .slo import SloSpec
 from .tasks import (
     AssignmentOutcome,
+    AssignmentRecord,
     Microtask,
     MicrotaskStatus,
     Route,
@@ -76,9 +77,7 @@ class _NodeRun:
     ):
         self.node = node
         self.slo = slo
-        self.config = config
         self.domain = domain
-        self.window_start = window_start
         self.deadline = slo.deadline_ticks
         self.state = ControllerState(
             hm_ratio=config.initial_hm_ratio, ewma_alpha=config.ewma_alpha
@@ -192,7 +191,6 @@ class ExecutionEngine:
         self.min_reward_by_class = {w.name: w.min_reward_micros for w in pool.workers}
         self.runs: dict[str, _NodeRun] = {}
         self.completed_nodes: set[str] = set()
-        self.activated_nodes: set[str] = set()
         self._arrival_pending: dict[str, bool] = {}
         self.stations = [
             _MachineStation(profile)
@@ -275,7 +273,7 @@ class ExecutionEngine:
 
     def _activate_ready(self) -> None:
         for node_id in sorted(ready_nodes(self.graph, self.completed_nodes)):
-            if node_id in self.activated_nodes:
+            if node_id in self.runs:
                 continue
             self._activate_node(node_id)
 
@@ -286,7 +284,6 @@ class ExecutionEngine:
         domain = self.node_domains.get(node_id, ("yes", "no"))
         run = _NodeRun(node, slo, self.config, domain, window_start=now)
         self.runs[node_id] = run
-        self.activated_nodes.add(node_id)
 
         n = node.microtask_count
         if node.agent_tag is AgentTag.HUMAN_ONLY:
@@ -502,17 +499,8 @@ class ExecutionEngine:
         worker_class = self.pool.class_of(agent_id)
         wtask = run.wtasks.get(mt_id)
 
-        record = None
-        if wtask is not None:
-            record = next(
-                (
-                    a
-                    for a in wtask.assignments
-                    if a.agent_id == agent_id and a.outcome is AssignmentOutcome.PENDING
-                ),
-                None,
-            )
-        if wtask is None or record is None:
+        record = wtask.pending_for(agent_id) if wtask is not None else None
+        if record is None:
             # assignment already timed out / node finalized; just free the worker
             self._release_worker(agent_id, worker_class)
             return
@@ -523,9 +511,7 @@ class ExecutionEngine:
         )
 
         rejected = self.reject is not None and self.reject(mt_id, agent_id, answer)
-        if rejected:
-            record.outcome = AssignmentOutcome.TIMED_OUT
-        else:
+        if not rejected:
             record_return(wtask, agent_id, answer, self.sim.now)
 
         if record.outcome is AssignmentOutcome.RETURNED:
@@ -546,22 +532,29 @@ class ExecutionEngine:
                 self._evaluate_votes(run, mt_id)
         else:
             # late or rejected: discard, release the reservation, reopen the slot
-            self.ledger.settle_timeout(record.reward_micros)
-            run.timed_out_since_poll += 1
-            self._emit_ledger(
-                "assignment_timeout",
-                node=node_id,
-                microtask=mt_id,
-                agent=agent_id,
-                cls=worker_class.name,
-                reward=record.reward_micros,
-                rejected=rejected,
-            )
+            self._time_out(run, mt_id, record, rejected)
             self._after_slot_freed(run, wtask, mt_id)
 
         self._release_worker(agent_id, worker_class)
         self._dispatch_workers()
         self._dispatch_machines()
+
+    def _time_out(
+        self, run: _NodeRun, mt_id: str, record: AssignmentRecord, rejected: bool = False
+    ) -> None:
+        """Time out one assignment: release its reward and record why."""
+        record.outcome = AssignmentOutcome.TIMED_OUT
+        self.ledger.settle_timeout(record.reward_micros)
+        run.timed_out_since_poll += 1
+        self._emit_ledger(
+            "assignment_timeout",
+            node=run.node.id,
+            microtask=mt_id,
+            agent=record.agent_id,
+            cls=self.pool.class_of(record.agent_id).name,
+            reward=record.reward_micros,
+            rejected=rejected,
+        )
 
     def _release_worker(self, agent_id: str, worker_class: WorkerClass) -> None:
         retention_rng = self.sim.rng(f"retention/{worker_class.name}")
@@ -600,21 +593,9 @@ class ExecutionEngine:
         # nothing reopens a w-task after its window, so it leaves the open
         # list here even when no assignment was pending
         run.close(mt_id)
-        overdue = wtask.pending()
-        expire_overdue([wtask], self.sim.now)
+        overdue = expire_overdue(wtask, self.sim.now)
         for record in overdue:
-            self.ledger.settle_timeout(record.reward_micros)
-            run.timed_out_since_poll += 1
-            worker_class = self.pool.class_of(record.agent_id)
-            self._emit_ledger(
-                "assignment_timeout",
-                node=run.node.id,
-                microtask=mt_id,
-                agent=record.agent_id,
-                cls=worker_class.name,
-                reward=record.reward_micros,
-                rejected=False,
-            )
+            self._time_out(run, mt_id, record)
         if overdue:
             self._after_slot_freed(run, wtask, mt_id)
             self._dispatch_workers()
@@ -865,20 +846,8 @@ class ExecutionEngine:
 
         # kill outstanding human assignments; workers free themselves on return
         for mt_id in sorted(run.wtasks):
-            wtask = run.wtasks[mt_id]
-            for record in wtask.pending():
-                record.outcome = AssignmentOutcome.TIMED_OUT
-                self.ledger.settle_timeout(record.reward_micros)
-                worker_class = self.pool.class_of(record.agent_id)
-                self._emit_ledger(
-                    "assignment_timeout",
-                    node=run.node.id,
-                    microtask=mt_id,
-                    agent=record.agent_id,
-                    cls=worker_class.name,
-                    reward=record.reward_micros,
-                    rejected=False,
-                )
+            for record in run.wtasks[mt_id].pending():
+                self._time_out(run, mt_id, record)
 
         # cancel this node's machine work still in stations or queued
         for station in self.stations:

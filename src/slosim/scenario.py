@@ -78,12 +78,21 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
         try:
             raw = yaml.load(stream, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:
-            raise ScenarioError([f"{path}: not valid YAML: {exc}"]) from exc
+            raise ScenarioError([f"{path}: not valid YAML: {_yaml_error_line(exc)}"]) from exc
     if not isinstance(raw, dict):
         raise ScenarioError([f"{path}: top level must be a mapping"])
     if overrides:
         apply_overrides(raw, overrides)
     return scenario_from_dict(raw)
+
+
+def _yaml_error_line(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line; str(exc) spans several and may quote the source."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return " ".join(str(exc).split())
+    what = ": ".join(part for part in (exc.context, exc.problem) if part)
+    return f"{what} (line {mark.line + 1}, column {mark.column + 1})"
 
 
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -106,7 +115,8 @@ def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]
         try:
             value = yaml.load(text, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:
-            raise ScenarioError([f"override {item!r}: not valid YAML: {exc}"]) from exc
+            problem = f"override {item!r}: not valid YAML: {_yaml_error_line(exc)}"
+            raise ScenarioError([problem]) from exc
         cursor: Any = raw
         parts = dotted.split(".")
         for part in parts[:-1]:

@@ -109,6 +109,13 @@ class WTask:
     def votes(self) -> list[str]:
         return [a.answer for a in self.returned() if a.answer is not None]
 
+    def pending_for(self, agent_id: str) -> AssignmentRecord | None:
+        """The agent's pending assignment on this w-task, if it holds one."""
+        for a in self.assignments:
+            if a.agent_id == agent_id and a.outcome is AssignmentOutcome.PENDING:
+                return a
+        return None
+
     def has_live_assignment_for(self, agent_id: str) -> bool:
         """True if the agent already holds a pending or returned assignment.
 
@@ -157,10 +164,7 @@ def issue_assignment(wtask: WTask, agent_id: str, at: int, reward_micros: int) -
     """Fill one open slot with a pending assignment for agent_id."""
     if wtask.open_slots <= 0:
         raise ValueError(f"w-task {wtask.microtask_id} has no open slots")
-    if any(
-        a.agent_id == agent_id and a.outcome is AssignmentOutcome.PENDING
-        for a in wtask.assignments
-    ):
+    if wtask.pending_for(agent_id) is not None:
         raise ValueError(f"agent {agent_id} already has a pending assignment on {wtask.microtask_id}")
     record = AssignmentRecord(agent_id=agent_id, issued_at=at, reward_micros=reward_micros)
     wtask.assignments.append(record)
@@ -174,11 +178,7 @@ def record_return(wtask: WTask, agent_id: str, answer: str, at: int) -> Assignme
     answer discarded.  A done w-task says nothing about correctness; that is
     the result-evaluation step's job.
     """
-    record = None
-    for a in wtask.assignments:
-        if a.agent_id == agent_id and a.outcome is AssignmentOutcome.PENDING:
-            record = a
-            break
+    record = wtask.pending_for(agent_id)
     if record is None:
         if any(a.agent_id == agent_id for a in wtask.assignments):
             raise ValueError(
@@ -197,20 +197,13 @@ def record_return(wtask: WTask, agent_id: str, answer: str, at: int) -> Assignme
     return record
 
 
-def expire_overdue(wtasks: list[WTask], now: int) -> list[tuple[str, list[str]]]:
-    """Time out every pending assignment past its w-task's completion deadline.
-
-    Returns (microtask_id, [agent_ids]) pairs for the affected w-tasks so the
-    controller can reassign the freed slots.
+def expire_overdue(wtask: WTask, now: int) -> list[AssignmentRecord]:
+    """Time out every pending assignment if now is past the completion
+    deadline; returns the timed-out records so their rewards can be released.
     """
-    affected: list[tuple[str, list[str]]] = []
-    for wtask in wtasks:
-        if now <= wtask.completion_deadline:
-            continue
-        timed_out = []
-        for record in wtask.pending():
-            record.outcome = AssignmentOutcome.TIMED_OUT
-            timed_out.append(record.agent_id)
-        if timed_out:
-            affected.append((wtask.microtask_id, timed_out))
-    return affected
+    if now <= wtask.completion_deadline:
+        return []
+    overdue = wtask.pending()
+    for record in overdue:
+        record.outcome = AssignmentOutcome.TIMED_OUT
+    return overdue

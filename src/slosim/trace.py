@@ -231,7 +231,6 @@ def summarize(records: list[dict[str, Any]]) -> RunSummary:
         evaluated = agreed + disagreed
         incomplete = n - evaluated
         rate = agreed / evaluated if evaluated else 0.0
-        slo = node_slo[node]
         finish = end.get("finish", run_end["time"])
         spend = end.get("spend", 0)
         nodes.append(
@@ -245,15 +244,7 @@ def summarize(records: list[dict[str, Any]]) -> RunSummary:
                 consensus_rate=rate,
                 spend_micros=spend,
                 finish_ticks=finish,
-                accuracy=SloVerdict(rate >= slo["accuracy"], rate - slo["accuracy"]),
-                budget=SloVerdict(
-                    spend <= slo["budget_micros"],
-                    to_money(slo["budget_micros"] - spend),
-                ),
-                time=SloVerdict(
-                    incomplete == 0 and finish <= slo["deadline_ticks"],
-                    (slo["deadline_ticks"] - finish) / TICKS_PER_UNIT,
-                ),
+                **_verdicts(node_slo[node], rate, spend, incomplete, finish),
                 actions=dict(sorted(node_actions.get(node, {}).items())),
             )
         )
@@ -293,7 +284,6 @@ def summarize(records: list[dict[str, Any]]) -> RunSummary:
     agreed = sum(ns.consensus for ns in nodes)
     incomplete = total - evaluated
     rate = agreed / evaluated if evaluated else 0.0
-    task_slo = header["task_slo"]
     spent = run_end["spent"]
     finish = run_end["finish"]
 
@@ -308,20 +298,26 @@ def summarize(records: list[dict[str, Any]]) -> RunSummary:
         completion_fraction=(evaluated / total) if total else 1.0,
         spent_micros=spent,
         finish_ticks=finish,
-        accuracy=SloVerdict(rate >= task_slo["accuracy"], rate - task_slo["accuracy"]),
-        budget=SloVerdict(
-            spent <= task_slo["budget_micros"],
-            to_money(task_slo["budget_micros"] - spent),
-        ),
-        time=SloVerdict(
-            incomplete == 0 and finish <= task_slo["deadline_ticks"],
-            (task_slo["deadline_ticks"] - finish) / TICKS_PER_UNIT,
-        ),
+        **_verdicts(header["task_slo"], rate, spent, incomplete, finish),
         nodes=tuple(nodes),
         classes=tuple(classes),
         machines=tuple(machines),
         events=dict(run_end["events"]),
     )
+
+
+def _verdicts(
+    slo: dict[str, Any], rate: float, spend: int, incomplete: int, finish: int
+) -> dict[str, SloVerdict]:
+    """The accuracy, budget and time verdicts of a node or the task against its SLO."""
+    return {
+        "accuracy": SloVerdict(rate >= slo["accuracy"], rate - slo["accuracy"]),
+        "budget": SloVerdict(spend <= slo["budget_micros"], to_money(slo["budget_micros"] - spend)),
+        "time": SloVerdict(
+            incomplete == 0 and finish <= slo["deadline_ticks"],
+            (slo["deadline_ticks"] - finish) / TICKS_PER_UNIT,
+        ),
+    }
 
 
 def _class_bucket(agg: dict[str, dict[str, float]], name: str) -> dict[str, float]:

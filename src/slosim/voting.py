@@ -1,4 +1,5 @@
-"""Result evaluation: majority voting over replicated answers.
+"""Result evaluation: majority voting over replicated answers, and the
+closed-form accuracy of a strict majority (a binomial tail).
 
 The default rule is a strict majority: a label wins only if it holds more
 than half of all returned votes.  A plurality rule (unique top count wins)
@@ -11,11 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Sequence
-
-MAX_ENUM_REPLICATION = 9
-MAX_ENUM_LABELS = 6
+from typing import Iterable
 
 
 class ConsensusStatus(Enum):
@@ -91,8 +88,10 @@ def majority_accuracy_analytic(p: float, w: int, num_labels: int) -> float:
     equals the true label, when each answer is correct with probability p
     and otherwise uniform over the remaining num_labels - 1 labels.
 
-    Computed by enumerating all vote-count compositions, which is feasible
-    only for small w and label counts; larger parameters are refused.
+    Only one label can hold more than w/2 votes, so the decision is right
+    exactly when the truth's own count k ~ Binomial(w, p) exceeds w/2; how
+    the wrong votes split over the other labels, and so num_labels, does not
+    matter (Sheng, Provost & Ipeirotis, "Get another label?", KDD 2008).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1]: {p}")
@@ -100,32 +99,4 @@ def majority_accuracy_analytic(p: float, w: int, num_labels: int) -> float:
         raise ValueError(f"replication must be an odd positive integer: {w}")
     if num_labels < 2:
         raise ValueError(f"need at least two labels: {num_labels}")
-    if w > MAX_ENUM_REPLICATION or num_labels > MAX_ENUM_LABELS:
-        raise ValueError(
-            f"enumeration bounded to w <= {MAX_ENUM_REPLICATION}, "
-            f"labels <= {MAX_ENUM_LABELS}: got w={w}, labels={num_labels}"
-        )
-
-    wrong_each = (1.0 - p) / (num_labels - 1)
-    total = 0.0
-    for composition in _compositions(w, num_labels):
-        truth_count = composition[0]
-        if truth_count * 2 <= w:
-            continue
-        coef = math.factorial(w)
-        for count in composition:
-            coef //= math.factorial(count)
-        total += coef * (p ** truth_count) * (wrong_each ** (w - truth_count))
-    return total
-
-
-def _compositions(total: int, parts: int) -> Iterable[Sequence[int]]:
-    """All orderings of non-negative integers of length `parts` summing to total."""
-    for cuts in combinations(range(total + parts - 1), parts - 1):
-        previous = -1
-        composition = []
-        for cut in cuts:
-            composition.append(cut - previous - 1)
-            previous = cut
-        composition.append(total + parts - 2 - previous)
-        yield composition
+    return sum(math.comb(w, k) * p**k * (1.0 - p) ** (w - k) for k in range(w // 2 + 1, w + 1))

@@ -63,8 +63,8 @@ def test_c01_voting_oracle_equivalence():
 
 
 def test_c02_analytic_vs_simulated_amplification():
-    """Simulated 3-vote majority accuracy at p=0.55 lands on the enumeration
-    oracle value 0.57475 within 0.01."""
+    """Simulated 3-vote majority accuracy at p=0.55 lands on the closed-form
+    (binomial tail) value 0.57475 within 0.01."""
     started = time.time()
     oracle = majority_accuracy_analytic(0.55, 3, 2)
     assert oracle == pytest.approx(0.57475, abs=1e-9)

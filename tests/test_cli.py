@@ -38,11 +38,13 @@ def test_malformed_yaml_is_config_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert out.startswith(f"invalid: {path}: not valid YAML:")
-    assert "line" in out
+    assert "line 3, column 1" in out
+    assert len(out.splitlines()) == 1
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not valid YAML:")
-    assert "line" in err
+    assert "line 3, column 1" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_malformed_override_is_config_error(scenario_file, tmp_path, capsys):
@@ -51,11 +53,13 @@ def test_malformed_override_is_config_error(scenario_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: override {bad!r}: not valid YAML:")
     assert "line" in err
+    assert len(err.splitlines()) == 1
     argv = ["sweep", str(scenario_file), "--param", "controller.replication_w", "--values", "[1"]
     assert main(argv + ["--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: override 'controller.replication_w=[1': not valid YAML:")
     assert "line" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "s").exists()
 
 

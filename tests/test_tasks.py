@@ -100,16 +100,18 @@ def test_unknown_agent_rejected():
 def test_expire_past_deadline():
     wtask = spawned(w=1)
     issue_assignment(wtask, "w1", 10, 20_000)
-    affected = expire_overdue([wtask], 501)
+    record = wtask.pending()[0]
+    affected = expire_overdue(wtask, 501)
     # completion deadline 100 < 501
-    assert affected == [("n:00001", ["w1"])]
+    assert affected == [record]
+    assert record.outcome is AssignmentOutcome.TIMED_OUT
     assert wtask.pending() == []
 
 
 def test_expire_before_deadline_no_change():
     wtask = spawned(w=1, deadlines=(500, 500))
     issue_assignment(wtask, "w1", 10, 20_000)
-    assert expire_overdue([wtask], 499) == []
+    assert expire_overdue(wtask, 499) == []
     assert len(wtask.pending()) == 1
 
 
@@ -119,7 +121,21 @@ def test_expire_ignores_returned_work():
     issue_assignment(wtask, "w2", 10, 20_000)
     record_return(wtask, "w1", "a", 20)
     record_return(wtask, "w2", "b", 30)
-    assert expire_overdue([wtask], 10_000) == []
+    assert expire_overdue(wtask, 10_000) == []
+
+
+def test_pending_for_finds_only_the_pending_record():
+    wtask = spawned(w=2)
+    first = issue_assignment(wtask, "w1", 10, 20_000)
+    assert wtask.pending_for("w1") is first
+    assert wtask.pending_for("w2") is None
+    expire_overdue(wtask, 101)
+    assert wtask.pending_for("w1") is None
+    wtask.completion_deadline = 500
+    retry = issue_assignment(wtask, "w1", 102, 20_000)
+    assert wtask.pending_for("w1") is retry
+    record_return(wtask, "w1", "a", 110)
+    assert wtask.pending_for("w1") is None
 
 
 # -- slot bookkeeping ---------------------------------------------------------------
@@ -135,7 +151,7 @@ def test_no_concurrent_duplicate_agent():
 def test_agent_may_retry_after_timeout():
     wtask = spawned(w=1)
     issue_assignment(wtask, "w1", 10, 20_000)
-    expire_overdue([wtask], 101)
+    expire_overdue(wtask, 101)
     assert wtask.open_slots == 1
     issue_assignment(wtask, "w1", 102, 20_000)
     assert len(wtask.assignments) == 2
@@ -146,7 +162,7 @@ def test_timeout_frees_slot_and_escalation_adds_one():
     for agent in ("w1", "w2", "w3"):
         issue_assignment(wtask, agent, 10, 20_000)
     assert wtask.open_slots == 0
-    expire_overdue([wtask], 101)
+    expire_overdue(wtask, 101)
     assert wtask.open_slots == 3
     wtask.want_votes += 1
     assert wtask.open_slots == 4

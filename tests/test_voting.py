@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slosim.agents import invert_majority_accuracy
 from slosim.voting import (
     ConsensusStatus,
     VoteSet,
@@ -130,14 +131,64 @@ def test_analytic_perfect_and_single_voter():
         assert majority_accuracy_analytic(p, 1, 3) == pytest.approx(p)
 
 
+def enumerated_majority_accuracy(p, w, num_labels):
+    """Reference: sum over every vote-count composition (truth first) whose
+    truth count is a strict majority, each weighted by its multinomial
+    probability with wrong answers uniform over the other labels."""
+    wrong_each = (1.0 - p) / (num_labels - 1)
+    total = 0.0
+    for cuts in itertools.combinations(range(w + num_labels - 1), num_labels - 1):
+        bounds = (-1, *cuts, w + num_labels - 1)
+        composition = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        truth_count = composition[0]
+        if truth_count * 2 <= w:
+            continue
+        coef = math.factorial(w)
+        for count in composition:
+            coef //= math.factorial(count)
+        total += coef * p**truth_count * wrong_each ** (w - truth_count)
+    return total
+
+
+@pytest.mark.parametrize("w, num_labels", [(1, 2), (3, 3), (5, 4), (3, 6)])
+def test_enumeration_reference_matches_every_vote_sequence(w, num_labels):
+    # the reference against the voting rule itself, over all num_labels**w sequences
+    domain = DOMAIN6[:num_labels]
+    truth = domain[0]
+    for p in (0.3, 0.7):
+        wrong_each = (1.0 - p) / (num_labels - 1)
+        brute = 0.0
+        for sequence in itertools.product(domain, repeat=w):
+            if majority_vote(votes(*sequence, domain=domain)).decision == truth:
+                right = sequence.count(truth)
+                brute += p**right * wrong_each ** (w - right)
+        assert enumerated_majority_accuracy(p, w, num_labels) == pytest.approx(brute, abs=1e-12)
+
+
 @pytest.mark.parametrize("num_labels", [2, 3, 4, 5, 6])
 def test_analytic_matches_binomial_closed_form(num_labels):
     # under a strict-majority rule only the truth's own count matters
     p, w = 0.63, 5
-    closed = sum(
-        math.comb(w, k) * p**k * (1 - p) ** (w - k) for k in range(w // 2 + 1, w + 1)
-    )
-    assert majority_accuracy_analytic(p, w, num_labels) == pytest.approx(closed, abs=1e-12)
+    oracle = enumerated_majority_accuracy(p, w, num_labels)
+    assert majority_accuracy_analytic(p, w, num_labels) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "w, num_labels",
+    [(w, labels) for w in (1, 3, 5, 7, 9) for labels in (2, 3, 4, 5, 6)] + [(11, 7)],
+)
+def test_closed_form_matches_enumeration(w, num_labels):
+    for p in (0.0, 0.2, 0.5, 0.55, 0.804, 1.0):
+        oracle = enumerated_majority_accuracy(p, w, num_labels)
+        assert majority_accuracy_analytic(p, w, num_labels) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_invert_round_trip_past_old_caps():
+    # w=11 with 7 labels was refused while the accuracy was enumerated
+    p = invert_majority_accuracy(0.9, 11, 7)
+    assert 0.5 < p < 0.9
+    assert majority_accuracy_analytic(p, 11, 7) == pytest.approx(0.9, abs=1e-6)
+    assert enumerated_majority_accuracy(p, 11, 7) == pytest.approx(0.9, abs=1e-6)
 
 
 def test_analytic_amplifies_above_half():
@@ -148,9 +199,5 @@ def test_analytic_amplifies_above_half():
 
 
 def test_analytic_bounds_enforced():
-    with pytest.raises(ValueError):
-        majority_accuracy_analytic(0.5, 11, 2)
-    with pytest.raises(ValueError):
-        majority_accuracy_analytic(0.5, 3, 7)
     with pytest.raises(ValueError):
         majority_accuracy_analytic(0.5, 4, 2)
