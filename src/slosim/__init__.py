@@ -45,7 +45,7 @@ from .tasks import (
     record_return,
     spawn_wtask,
 )
-from .trace import RunSummary, TraceWriter, read_trace, summarize
+from .trace import RunSummary, TraceWriter, iter_trace, read_trace, summarize
 from .voting import (
     ConsensusResult,
     ConsensusStatus,
@@ -111,6 +111,7 @@ __all__ = [
     "expire_overdue",
     "invert_majority_accuracy",
     "issue_assignment",
+    "iter_trace",
     "load_scenario",
     "majority_accuracy_analytic",
     "majority_vote",

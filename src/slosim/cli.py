@@ -18,7 +18,7 @@ from pathlib import Path
 from . import reports
 from .runner import run as run_scenario
 from .scenario import ScenarioError, load_scenario
-from .trace import RunSummary, read_trace
+from .trace import RunSummary, iter_trace
 from .units import to_money
 
 OUT_DIR_ENV = "SLOSIM_OUT_DIR"
@@ -128,8 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = read_trace(args.trace)
-    rendered = reports.report(records, fmt=args.format)
+    rendered = reports.report(iter_trace(args.trace), fmt=args.format)
     if args.out is None and OUT_DIR_ENV not in os.environ:
         for name, text in rendered.items():
             print(f"# {name}")

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any
+from typing import Any, Iterable
 
-from .trace import RunSummary, summarize
+from .trace import RunSummary, SummaryReducer
 from .units import TICKS_PER_UNIT, to_money
 
 FORMATS = ("table", "csv")
@@ -51,7 +51,7 @@ def class_comparison(summary: RunSummary) -> list[dict[str, Any]]:
     return rows
 
 
-def arrival_histogram(records: list[dict[str, Any]], bins: int = DEFAULT_BINS) -> list[dict[str, Any]]:
+def arrival_histogram(records: Iterable[dict[str, Any]], bins: int = DEFAULT_BINS) -> list[dict[str, Any]]:
     """Inter-arrival histogram per worker class, from worker_arrival records."""
     arrivals: dict[str, list[int]] = {}
     for record in records:
@@ -87,7 +87,7 @@ def arrival_histogram(records: list[dict[str, Any]], bins: int = DEFAULT_BINS) -
     return rows
 
 
-def control_series(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
+def control_series(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     """Per-poll controller snapshot: routing ratio, completion rate, risks."""
     rows = []
     for record in records:
@@ -131,13 +131,18 @@ def render(rows: list[dict[str, Any]], columns: list[str], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report(records: list[dict[str, Any]], fmt: str = "table") -> dict[str, str]:
-    """All three report artifacts rendered from one trace."""
+def report(records: Iterable[dict[str, Any]], fmt: str = "table") -> dict[str, str]:
+    """All three report artifacts rendered from one pass over a trace."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    summary = summarize(records)
+    reducer = SummaryReducer()
+    plotted = []
+    for record in records:
+        reducer.add(record)
+        if record["kind"] in ("worker_arrival", "poll"):
+            plotted.append(record)
     return {
-        "classes": render(class_comparison(summary), CLASS_COLUMNS, fmt),
-        "arrivals": render(arrival_histogram(records), ARRIVAL_COLUMNS, fmt),
-        "control": render(control_series(records), CONTROL_COLUMNS, fmt),
+        "classes": render(class_comparison(reducer.result()), CLASS_COLUMNS, fmt),
+        "arrivals": render(arrival_histogram(plotted), ARRIVAL_COLUMNS, fmt),
+        "control": render(control_series(plotted), CONTROL_COLUMNS, fmt),
     }

@@ -42,7 +42,7 @@ from .tasks import (
     record_return,
     spawn_wtask,
 )
-from .trace import NodeSummary, RunSummary, TraceWriter, summarize
+from .trace import NodeSummary, RunSummary, TraceWriter
 from .units import TICKS_PER_UNIT, to_ticks, to_units
 from .voting import ConsensusResult, ConsensusStatus, VoteSet, majority_vote, node_consensus_rate
 from .workflow import AgentTag, WorkflowGraph, WorkflowNode, derive_node_slos, ready_nodes, validate
@@ -52,7 +52,7 @@ RejectPredicate = Callable[[str, str, str], bool]
 
 @dataclass
 class RunResult:
-    records: list[dict[str, Any]]
+    records: list[dict[str, Any]] | None  # None when the records went to trace_path
     summary: RunSummary
     trace_path: Path | None = None
 
@@ -61,7 +61,7 @@ class RunResult:
 class NodeOutcome:
     summary: NodeSummary
     results: dict[str, ConsensusResult]
-    records: list[dict[str, Any]]
+    records: list[dict[str, Any]] | None  # None when the records went to a trace file
 
 
 class _NodeRun:
@@ -192,10 +192,11 @@ class ExecutionEngine:
         self.runs: dict[str, _NodeRun] = {}
         self.completed_nodes: set[str] = set()
         self._arrival_pending: dict[str, bool] = {}
-        self.stations = [
-            _MachineStation(profile)
+        # keyed by profile name and in name order: dispatch takes the first free one
+        self.stations = {
+            profile.name: _MachineStation(profile)
             for profile in sorted(pool.machines, key=lambda m: m.name)
-        ]
+        }
         self.machine_queue: deque[tuple[str, str]] = deque()
 
     # -- helpers --------------------------------------------------------------
@@ -225,7 +226,7 @@ class ExecutionEngine:
 
     # -- run ------------------------------------------------------------------
 
-    def run(self) -> list[dict[str, Any]]:
+    def run(self) -> RunSummary:
         self.emit(
             "header",
             schema=1,
@@ -263,8 +264,7 @@ class ExecutionEngine:
             finish=finish,
             events=self.sim.end_report(),
         )
-        self.writer.close()
-        return self.writer.records
+        return self.writer.reducer.result()
 
     def _all_finished(self) -> bool:
         return len(self.completed_nodes) == len(self.graph.nodes)
@@ -654,7 +654,7 @@ class ExecutionEngine:
             if self.sim.now >= run.deadline:
                 self.machine_queue.popleft()
                 continue
-            station = next((s for s in self.stations if s.free_capacity > 0), None)
+            station = next((s for s in self.stations.values() if s.free_capacity > 0), None)
             if station is None:
                 return
             cost = station.cost_micros
@@ -685,7 +685,7 @@ class ExecutionEngine:
     def _on_machine_done(self, payload: dict[str, Any]) -> None:
         node_id = payload["node"]
         mt_id = payload["microtask"]
-        station = next(s for s in self.stations if s.profile.name == payload["profile"])
+        station = self.stations[payload["profile"]]
         station.in_flight.pop(payload["ticket"], None)
         run = self.runs[node_id]
         if run.finished:
@@ -850,7 +850,7 @@ class ExecutionEngine:
                 self._time_out(run, mt_id, record)
 
         # cancel this node's machine work still in stations or queued
-        for station in self.stations:
+        for station in self.stations.values():
             for ticket in sorted(station.in_flight):
                 node_id, _, event = station.in_flight[ticket]
                 if node_id == run.node.id:
@@ -911,24 +911,23 @@ def run(
         machines=scenario.machines,
         incentive_elasticity=scenario.controller.incentive_elasticity,
     )
-    writer = TraceWriter(trace_path)
-    engine = ExecutionEngine(
-        name=scenario.name,
-        graph=scenario.graph,
-        node_domains=scenario.node_domains,
-        config=scenario.controller,
-        pool=pool,
-        sim=sim,
-        writer=writer,
-        time_unit=scenario.time_unit,
-        digest=scenario.digest(),
-        script=scenario.script,
-        overrides=overrides,
-        reject=reject,
-    )
-    records = engine.run()
-    summary = summarize(records)
-    return RunResult(records=records, summary=summary, trace_path=writer.path)
+    with TraceWriter(trace_path) as writer:
+        engine = ExecutionEngine(
+            name=scenario.name,
+            graph=scenario.graph,
+            node_domains=scenario.node_domains,
+            config=scenario.controller,
+            pool=pool,
+            sim=sim,
+            writer=writer,
+            time_unit=scenario.time_unit,
+            digest=scenario.digest(),
+            script=scenario.script,
+            overrides=overrides,
+            reject=reject,
+        )
+        summary = engine.run()
+    return RunResult(records=writer.records, summary=summary, trace_path=writer.path)
 
 
 def run_node(
@@ -948,20 +947,19 @@ def run_node(
     is treated as a one-node workflow carrying the given SLO.
     """
     graph = WorkflowGraph(nodes=(node,), edges=frozenset(), task_slo=slo)
-    writer = TraceWriter(trace_path)
-    engine = ExecutionEngine(
-        name=f"node:{node.id}",
-        graph=graph,
-        node_domains={node.id: answer_domain},
-        config=config,
-        pool=pool,
-        sim=sim,
-        writer=writer,
-        reject=reject,
-    )
-    records = engine.run()
-    summary = summarize(records)
+    with TraceWriter(trace_path) as writer:
+        engine = ExecutionEngine(
+            name=f"node:{node.id}",
+            graph=graph,
+            node_domains={node.id: answer_domain},
+            config=config,
+            pool=pool,
+            sim=sim,
+            writer=writer,
+            reject=reject,
+        )
+        summary = engine.run()
     node_summary = next(ns for ns in summary.nodes if ns.node_id == node.id)
     node_run = engine.runs[node.id]
     results = {mt: node_run.results[mt] for mt in sorted(node_run.final)}
-    return NodeOutcome(summary=node_summary, results=results, records=records)
+    return NodeOutcome(summary=node_summary, results=results, records=writer.records)

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from slosim.cli import main
-from slosim.trace import read_trace
+from slosim.trace import read_trace, summarize
 
 
 @pytest.fixture
@@ -69,6 +69,8 @@ def test_run_writes_trace_and_summary(scenario_file, tmp_path, capsys):
     assert (out / "trace.jsonl").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenario"] == "fixture"
+    rebuilt = summarize(read_trace(out / "trace.jsonl"))
+    assert summary == json.loads(json.dumps(rebuilt.to_dict()))
     stdout = capsys.readouterr().out
     assert "slo accuracy" in stdout
 
@@ -130,6 +132,20 @@ def test_report_csv_files(scenario_file, tmp_path):
     assert main(["report", str(out / "trace.jsonl"), "--format", "csv", "--out", str(rep)]) == 0
     for name in ("classes", "arrivals", "control"):
         assert (rep / f"{name}.csv").exists()
+
+
+def test_report_bad_trace_line_is_config_error(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", str(scenario_file), "--out", str(out)])
+    trace = out / "trace.jsonl"
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[-1] = "{not json}\n"  # the report has read every other record by then
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["report", str(trace), "--format", "csv", "--out", str(rep)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {trace}:{len(lines)}: bad trace record: ")
+    assert not rep.exists()
 
 
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):

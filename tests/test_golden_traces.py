@@ -2,19 +2,23 @@
 what it is.  A refactor or speed-up of the engine keeps every digest; a PR
 that changes behaviour on purpose updates them and says so.
 
-Each pinned run also checks the round trip between memory and file: the file
+Each pinned scenario runs twice, once keeping its records in memory and once
+writing them to a file, to check the round trip between the two: the file
 holds exactly `dump_record` of each in-memory record, one per line (the bytes
-the benchmark hashes for its in-memory workloads), and `read_trace` of the
-file gives back records equal to `RunResult.records`."""
+the benchmark hashes for its in-memory workloads), `read_trace` of the file
+gives back those records, and both runs have the same summary.  The summary
+and the report read from a one-shot `iter_trace` generator equal those read
+from the `read_trace` list, so each reads its input in one pass."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from slosim.reports import report
 from slosim.runner import run
 from slosim.scenario import load_scenario, scenario_from_dict
-from slosim.trace import dump_record, read_trace
+from slosim.trace import dump_record, iter_trace, read_trace, summarize
 
 from conftest import SCENARIOS_DIR
 from test_acceptance import _random_budget_scenario
@@ -33,10 +37,15 @@ C05_SHA256 = "1256cfc507a776a3aaee7fa6c7fa6b861bae2730321e965bfe0cbdfb8c27c7eb"
 
 
 def _trace_sha256(scenario, path) -> str:
-    result = run(scenario, trace_path=path)
+    in_memory = run(scenario)
+    to_file = run(scenario, trace_path=path)
+    assert to_file.records is None
     data = path.read_bytes()
-    assert data == "".join(dump_record(r) + "\n" for r in result.records).encode("utf-8")
-    assert read_trace(path) == result.records
+    assert data == "".join(dump_record(r) + "\n" for r in in_memory.records).encode("utf-8")
+    records = read_trace(path)
+    assert records == in_memory.records
+    assert to_file.summary == in_memory.summary == summarize(records) == summarize(iter_trace(path))
+    assert report(iter_trace(path)) == report(records)
     return hashlib.sha256(data).hexdigest()
 
 

@@ -1,20 +1,22 @@
-"""The README's "Library" example runs as written."""
+"""The README's "Library" and "Trace and summary" examples run as written."""
 
 import re
-from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from conftest import REPO_ROOT
+
+README = REPO_ROOT / "README.md"
 
 
-def library_block() -> str:
+def python_block(section: str) -> str:
+    """The first python block under the README heading `## <section>`."""
     text = README.read_text(encoding="utf-8")
-    match = re.search(r"^## Library\n+```python\n(.*?)^```", text, re.S | re.M)
-    assert match is not None, "README has no python block under '## Library'"
+    match = re.search(rf"^## {section}\n.*?^```python\n(.*?)^```", text, re.S | re.M)
+    assert match is not None, f"README has no python block under '## {section}'"
     return match.group(1)
 
 
 def test_readme_library_example_runs(capsys):
-    code = library_block()
+    code = python_block("Library")
     assert "invert_majority_accuracy" in code and "run_node" in code
     namespace: dict = {}
     exec(compile(code, f"{README}:Library", "exec"), namespace)
@@ -23,3 +25,15 @@ def test_readme_library_example_runs(capsys):
     assert outcome.summary.evaluated > 0
     printed = capsys.readouterr().out.split()
     assert printed == [str(outcome.summary.consensus_rate), str(outcome.summary.spend_micros)]
+
+
+def test_readme_trace_example_runs(tmp_path, monkeypatch):
+    code = python_block("Trace and summary")
+    assert "iter_trace" in code and "report" in code
+    (tmp_path / "scenarios").symlink_to(REPO_ROOT / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(code, f"{README}:Trace and summary", "exec"), namespace)
+    assert (tmp_path / "out" / "trace.jsonl").is_file()
+    assert namespace["to_file"].records is None
+    assert set(namespace["tables"]) == {"classes", "arrivals", "control"}

@@ -5,12 +5,14 @@ import pytest
 from slosim.agents import AgentPool, MachineAgentProfile, ServiceTime, WorkerClass
 from slosim.controller import ControllerConfig
 from slosim.runner import run, run_node
-from slosim.scenario import scenario_from_dict
+from slosim.scenario import load_scenario, scenario_from_dict
 from slosim.sim import Simulation
 from slosim.slo import SloSpec
-from slosim.trace import read_trace, summarize
+from slosim.trace import TraceWriter, read_trace, summarize
 from slosim.units import to_ticks
 from slosim.workflow import AgentTag, WorkflowNode
+
+from conftest import SCENARIOS_DIR
 
 
 def run_raw(raw, **kwargs):
@@ -95,8 +97,57 @@ def test_different_seed_changes_body_not_header_schema(tmp_path, scenario_dict):
 
 
 def test_summary_replay_equals_live(tmp_path, scenario_dict):
-    result = run_raw(scenario_dict(), trace_path=tmp_path / "t.jsonl")
-    assert summarize(read_trace(tmp_path / "t.jsonl")) == result.summary
+    """A run that writes its trace to a file keeps no records in memory, and
+    the summary folded from the file equals the live one: the fixture and
+    every shipped scenario."""
+    scenarios = [scenario_from_dict(scenario_dict())]
+    scenarios += [load_scenario(path) for path in sorted(SCENARIOS_DIR.glob("*.yaml"))]
+    for scenario in scenarios:
+        path = tmp_path / f"{scenario.name}.jsonl"
+        result = run(scenario, trace_path=path)
+        assert result.records is None
+        assert summarize(read_trace(path)) == result.summary
+
+
+def _run_minimal(path, reject):
+    run(load_scenario(SCENARIOS_DIR / "minimal.yaml"), trace_path=path, reject=reject)
+
+
+def _run_human_node(path, reject):
+    node = WorkflowNode(id="n", label="n", agent_tag=AgentTag.HUMAN_ONLY, microtask_count=10)
+    slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=100.0)
+    pool = AgentPool(
+        workers=(
+            WorkerClass(
+                name="w", accuracy=0.9, arrival_rate=0.5,
+                service_time=ServiceTime(family="fixed", value=1.0),
+            ),
+        ),
+        machines=(),
+    )
+    sim = Simulation(seed=1, horizon=to_ticks(100.0))
+    run_node(node, slo, ControllerConfig(), pool, sim, trace_path=path, reject=reject)
+
+
+@pytest.mark.parametrize("entry", [_run_minimal, _run_human_node])
+def test_trace_file_is_closed_when_a_run_raises(entry, tmp_path, monkeypatch):
+    emitted = []
+    emit = TraceWriter.emit
+
+    def counted_emit(writer, time, kind, fields):
+        emitted.append(kind)
+        return emit(writer, time, kind, fields)
+
+    def reject(mt_id, agent_id, answer):
+        raise RuntimeError("reject predicate failed")
+
+    monkeypatch.setattr(TraceWriter, "emit", counted_emit)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(RuntimeError, match="reject predicate failed") as raised:
+        entry(path, reject)
+    # `raised` holds the failed run's frames, so an unclosed stream stays unflushed
+    assert raised.traceback
+    assert len(read_trace(path)) == len(emitted)
 
 
 def test_trace_times_non_decreasing(scenario_dict):

@@ -69,12 +69,13 @@ def test_record_split_across_lines_is_rejected(tmp_path):
 def test_writer_round_trip(tmp_path):
     path = tmp_path / "out" / "trace.jsonl"
     with TraceWriter(path) as writer:
-        writer.emit(0, "header", {"scenario": "s", "nested": {"b": [1, 2.5], "a": None}})
-        writer.emit(7, "poll", {"risks": [], "rate": 0.1, "ok": True, "text": "café ☃"})
+        header = writer.emit(0, "header", {"scenario": "s", "nested": {"b": [1, 2.5], "a": None}})
+        poll = writer.emit(7, "poll", {"risks": [], "rate": 0.1, "ok": True, "text": "café ☃"})
+    assert writer.records is None  # a writer with a file keeps no records in memory
     text = path.read_text(encoding="utf-8")
-    assert text == "".join(dump_record(r) + "\n" for r in writer.records)
-    assert read_trace(path) == writer.records
-    assert writer.records[1] == {
+    assert text == dump_record(header) + "\n" + dump_record(poll) + "\n"
+    assert read_trace(path) == [header, poll]
+    assert poll == {
         "time": 7,
         "kind": "poll",
         "risks": [],
