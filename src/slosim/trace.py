@@ -1,8 +1,8 @@
 """Run traces: newline-delimited records, plus the summary reducer.
 
-A trace is an append-only, time-ordered list of flat JSON records.  The
-run summary is always computed by reducing trace records, so a summary
-recomputed from a persisted trace equals the one produced live.
+A trace is an append-only, time-ordered list of JSON records, one object
+per line.  The run summary is always computed by reducing trace records, so
+a summary recomputed from a persisted trace equals the one produced live.
 """
 
 from __future__ import annotations
@@ -14,18 +14,49 @@ from typing import Any, IO, Iterable, Iterator
 
 from .units import TICKS_PER_UNIT, to_money
 
+try:
+    import orjson
+except ImportError:  # the optional `fast` extra; the json path below is the reference
+    orjson = None
+
 TRACE_SCHEMA = 1
 
 
-# One encoder and one decoder for every record: json.dumps with non-default
-# arguments builds a new encoder per call, and json.loads rescans for
-# whitespace that read_trace has already stripped.  Records are flat dicts,
-# so the encoder skips the circular-reference check.
+# The reference codec: one encoder and one decoder for every record.
+# json.dumps with non-default arguments builds a new encoder per call, and
+# json.loads rescans for whitespace that iter_trace has already stripped.  A
+# record's values are scalars or small acyclic containers, so the encoder
+# skips the circular-reference check.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
-
+# orjson writes the same bytes as `_encode` for a record whose values are all
+# str, int, bool, None or float, provided each float is 0.0 or in [1e-4, 1e16)
+# in absolute value (outside it repr uses exponent notation and orjson does
+# not) and the output is printable ASCII (`_encode` escapes non-ASCII text and
+# DEL, orjson writes them raw).  orjson raises TypeError on ints beyond 64
+# bits, non-str keys and lone surrogates.  Containers are not checked, so a
+# record holding one takes the reference path.
 def dump_record(record: dict[str, Any]) -> str:
+    """The canonical line of a record: sorted keys, no spaces, ASCII only."""
+    if orjson is not None:
+        for value in record.values():
+            kind = type(value)
+            if kind is str or kind is int:
+                continue
+            if kind is float:
+                if not (1e-4 <= abs(value) < 1e16 or value == 0.0):
+                    break
+            elif kind is not bool and value is not None:
+                break
+        else:
+            try:
+                line = orjson.dumps(record, option=orjson.OPT_SORT_KEYS).decode()
+            except TypeError:
+                pass
+            else:
+                if line.isascii() and "\x7f" not in line:
+                    return line
     return _encode(record)
 
 
@@ -67,18 +98,48 @@ class TraceWriter:
 
 
 def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield the records of a trace file one at a time, in file order."""
+    """Yield the records of a trace file one at a time, in file order.
+
+    A line that is not one JSON object with a "kind" raises ValueError
+    naming the file and line."""
+    loads = orjson.loads if orjson is not None else None
     with open(path, "r", encoding="utf-8") as stream:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                record, end = _raw_decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
+            record = None
+            if loads is not None:
+                # orjson rejects NaN, infinities and lone surrogates, which
+                # json reads, and reads an int beyond 64 bits as a float.  The
+                # json decoder reads again a line orjson rejects, a value that
+                # is not an object and an object holding a float that large or
+                # a container, which is not checked here.
+                try:
+                    record = loads(line)
+                except orjson.JSONDecodeError:
+                    pass
+                if type(record) is dict:
+                    for value in record.values():
+                        kind = type(value)
+                        if kind is float:
+                            if abs(value) < 2**63:
+                                continue
+                        elif kind is not dict and kind is not list:
+                            continue
+                        record = None
+                        break
+                else:
+                    record = None
+            if record is None:
+                try:
+                    record, end = _raw_decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
+            if type(record) is not dict or "kind" not in record:
+                raise ValueError(f"{path}:{line_no}: bad trace record: not an object with a 'kind'")
             yield record
 
 

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+import slosim.trace
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO_ROOT / "scenarios"
 
@@ -9,6 +11,25 @@ SCENARIOS_DIR = REPO_ROOT / "scenarios"
 @pytest.fixture
 def scenarios_dir() -> Path:
     return SCENARIOS_DIR
+
+
+@pytest.fixture
+def reference_codec(monkeypatch):
+    """Encode and decode trace records on the json reference path only, as
+    when orjson is not installed."""
+    monkeypatch.setattr(slosim.trace, "orjson", None)
+
+
+@pytest.fixture(params=["fast", "reference"])
+def codec(request):
+    """Run the test once on each trace codec path: the orjson fast path (when
+    orjson is importable) and the json reference path."""
+    if request.param == "fast":
+        if slosim.trace.orjson is None:
+            pytest.skip("orjson is not importable")
+    else:
+        request.getfixturevalue("reference_codec")
+    return request.param
 
 
 @pytest.fixture

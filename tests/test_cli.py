@@ -148,6 +148,19 @@ def test_report_bad_trace_line_is_config_error(scenario_file, tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("line", ["{}", "[1]", '{"time":0}'])
+def test_report_line_that_is_not_a_record_is_config_error(scenario_file, tmp_path, capsys, codec, line):
+    out = tmp_path / "out"
+    main(["run", str(scenario_file), "--out", str(out)])
+    trace = out / "trace.jsonl"
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = line + "\n"
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: {trace}:2: bad trace record: not an object with a 'kind'\n"
+
+
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("SLOSIM_OUT_DIR", str(target))

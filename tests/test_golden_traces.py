@@ -8,7 +8,10 @@ holds exactly `dump_record` of each in-memory record, one per line (the bytes
 the benchmark hashes for its in-memory workloads), `read_trace` of the file
 gives back those records, and both runs have the same summary.  The summary
 and the report read from a one-shot `iter_trace` generator equal those read
-from the `read_trace` list, so each reads its input in one pass."""
+from the `read_trace` list, so each reads its input in one pass.
+
+The tests ending in `_on_the_json_path` check the same digests with orjson
+blocked, so the reference codec and the fast path write the same bytes."""
 
 import hashlib
 
@@ -49,16 +52,31 @@ def _trace_sha256(scenario, path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED))
-def test_shipped_scenario_trace_is_golden(name, tmp_path):
-    scenario = load_scenario(SCENARIOS_DIR / f"{name}.yaml")
-    assert _trace_sha256(scenario, tmp_path / "trace.jsonl") == SHIPPED[name]
+def _shipped_sha256(name, path) -> str:
+    return _trace_sha256(load_scenario(SCENARIOS_DIR / f"{name}.yaml"), path)
 
 
-def test_c05_assignment_window_trace_is_golden(tmp_path):
+def _c05_sha256(path) -> str:
     rng = np.random.default_rng(424242)
     raws = [_random_budget_scenario(rng) for _ in range(C05_INDEX + 1)]
     raw = raws[C05_INDEX]
     assert raw["controller"].get("assignment_window") is not None
-    scenario = scenario_from_dict(raw)
-    assert _trace_sha256(scenario, tmp_path / "trace.jsonl") == C05_SHA256
+    return _trace_sha256(scenario_from_dict(raw), path)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_scenario_trace_is_golden(name, tmp_path):
+    assert _shipped_sha256(name, tmp_path / "trace.jsonl") == SHIPPED[name]
+
+
+def test_c05_assignment_window_trace_is_golden(tmp_path):
+    assert _c05_sha256(tmp_path / "trace.jsonl") == C05_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_scenario_trace_is_golden_on_the_json_path(name, tmp_path, reference_codec):
+    assert _shipped_sha256(name, tmp_path / "trace.jsonl") == SHIPPED[name]
+
+
+def test_c05_assignment_window_trace_is_golden_on_the_json_path(tmp_path, reference_codec):
+    assert _c05_sha256(tmp_path / "trace.jsonl") == C05_SHA256
