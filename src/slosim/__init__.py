@@ -30,7 +30,7 @@ from .controller import (
 )
 from .runner import ExecutionEngine, NodeOutcome, RunResult, run, run_node
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict, write_scenario
-from .sim import EventKind, SimClock, SimEvent, Simulation, seeded_rng
+from .sim import SimEvent, Simulation, seeded_rng
 from .slo import SloSpec
 from .tasks import (
     AssignmentOutcome,
@@ -79,7 +79,6 @@ __all__ = [
     "ConsensusStatus",
     "ControllerConfig",
     "ControllerState",
-    "EventKind",
     "ExecutionEngine",
     "GraphInvalid",
     "MachineAgentProfile",
@@ -93,7 +92,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ServiceTime",
-    "SimClock",
     "SimEvent",
     "Simulation",
     "SloSpec",

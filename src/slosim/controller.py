@@ -96,7 +96,6 @@ class ControllerState:
     ewma_alpha: float = 0.5
     completion_rate: float | None = None  # EWMA, microtasks per time unit
     n_human: int = 0
-    n_machine: int = 0
     incentive_multiplier: float = 1.0
 
     def current_reward_micros(self, base_reward_micros: int) -> int:

@@ -10,7 +10,7 @@ import csv
 import io
 from typing import Any, Iterable
 
-from .trace import RunSummary, SummaryReducer
+from .trace import RunSummary, SummaryReducer, bad_record
 from .units import TICKS_PER_UNIT, to_money
 
 FORMATS = ("table", "csv")
@@ -56,7 +56,10 @@ def arrival_histogram(records: Iterable[dict[str, Any]], bins: int = DEFAULT_BIN
     arrivals: dict[str, list[int]] = {}
     for record in records:
         if record["kind"] == "worker_arrival":
-            arrivals.setdefault(record["cls"], []).append(record["time"])
+            try:
+                arrivals.setdefault(record["cls"], []).append(record["time"])
+            except (KeyError, TypeError) as exc:
+                raise bad_record(record, exc) from exc
 
     rows = []
     for cls in sorted(arrivals):
@@ -93,18 +96,21 @@ def control_series(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     for record in records:
         if record["kind"] != "poll":
             continue
-        rows.append(
-            {
-                "time": record["time"] / TICKS_PER_UNIT,
-                "node": record["node"],
-                "poll": record["index"],
-                "hm_ratio": record["hm_ratio"],
-                "completion_rate": record["completion_rate"],
-                "evaluated": record["evaluated"],
-                "consensus_rate": record["consensus_rate"],
-                "risks": "|".join(record["risks"]),
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "time": record["time"] / TICKS_PER_UNIT,
+                    "node": record["node"],
+                    "poll": record["index"],
+                    "hm_ratio": record["hm_ratio"],
+                    "completion_rate": record["completion_rate"],
+                    "evaluated": record["evaluated"],
+                    "consensus_rate": record["consensus_rate"],
+                    "risks": "|".join(record["risks"]),
+                }
+            )
+        except (KeyError, TypeError) as exc:
+            raise bad_record(record, exc) from exc
     return rows
 
 

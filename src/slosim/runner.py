@@ -9,6 +9,7 @@ pool, the machine stations, the budget ledger and the trace.
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from .controller import (
     update_rho,
 )
 from .scenario import Scenario, controller_to_dict
-from .sim import EmptyQueue, EventKind, HorizonExceeded, SimEvent, Simulation
+from .sim import EmptyQueue, HorizonExceeded, SimEvent, Simulation
 from .slo import SloSpec
 from .tasks import (
     AssignmentOutcome,
@@ -136,17 +137,12 @@ class _MachineStation:
     def __init__(self, profile: MachineAgentProfile):
         self.profile = profile
         self.cost_micros = profile.cost_micros
-        self.in_flight: dict[int, tuple[str, str, SimEvent]] = {}
-        self._ticket = 0
+        self.in_flight: dict[int, tuple[str, SimEvent]] = {}  # ticket -> (node id, done event)
+        self.tickets = itertools.count(1)
 
     @property
     def free_capacity(self) -> int:
         return self.profile.capacity - len(self.in_flight)
-
-    def take(self, node_id: str, microtask_id: str, event: SimEvent) -> int:
-        self._ticket += 1
-        self.in_flight[self._ticket] = (node_id, microtask_id, event)
-        return self._ticket
 
 
 class ExecutionEngine:
@@ -240,10 +236,7 @@ class ExecutionEngine:
         )
         for event in self.script:
             self.sim.schedule(
-                EventKind.SCENARIO_SCRIPT,
-                to_ticks(event.at),
-                action=event.action,
-                params=event.params,
+                to_ticks(event.at), ExecutionEngine._on_script, event.action, event.params
             )
         for worker_class in self.pool.workers:
             self._schedule_arrival(worker_class.name)
@@ -254,7 +247,7 @@ class ExecutionEngine:
                 event = self.sim.step()
             except (EmptyQueue, HorizonExceeded):
                 break
-            self._handle(event)
+            event.handler(self, *event.args)
 
         for run in self._active_runs():
             self._finalize_node(run)
@@ -293,7 +286,6 @@ class ExecutionEngine:
         else:
             n_human, n_machine = partition(n, run.state.hm_ratio)
         run.state.n_human = n_human
-        run.state.n_machine = n_machine
 
         self.emit(
             "node_start",
@@ -340,10 +332,9 @@ class ExecutionEngine:
         for index, instant in enumerate(
             poll_instants(now, run.deadline, self.config.polling_intervals)
         ):
-            event = self.sim.schedule(
-                EventKind.POLL_TICK, instant, node=node_id, index=index
+            run.poll_events.append(
+                self.sim.schedule(instant, ExecutionEngine._on_poll, node_id, index)
             )
-            run.poll_events.append(event)
 
         run.check_conservation()
         self._dispatch_workers()
@@ -375,20 +366,8 @@ class ExecutionEngine:
             self.machine_queue.append((run.node.id, mt_id))
 
     # -- event handling ---------------------------------------------------------
-
-    def _handle(self, event: SimEvent) -> None:
-        if event.kind is EventKind.WORKER_ARRIVAL:
-            self._on_arrival(event.payload["cls"])
-        elif event.kind is EventKind.ASSIGNMENT_RETURN:
-            self._on_return(event.payload)
-        elif event.kind is EventKind.ASSIGNMENT_TIMEOUT:
-            self._on_timeout_sweep(event.payload)
-        elif event.kind is EventKind.POLL_TICK:
-            self._on_poll(event.payload)
-        elif event.kind is EventKind.MACHINE_BATCH_DONE:
-            self._on_machine_done(event.payload)
-        elif event.kind is EventKind.SCENARIO_SCRIPT:
-            self._on_script(event.payload)
+    # Each event's handler is one of the plain functions `ExecutionEngine._on_*`
+    # and its args are plain values; see the event contract in `sim`.
 
     def _schedule_arrival(self, class_name: str) -> None:
         if self._arrival_pending.get(class_name):
@@ -400,7 +379,7 @@ class ExecutionEngine:
         delay = max(1, to_ticks(self.pool.sample_interarrival(class_name, rng)))
         if self.sim.now + delay > self.sim.horizon:
             return
-        self.sim.schedule(EventKind.WORKER_ARRIVAL, self.sim.now + delay, cls=class_name)
+        self.sim.schedule(self.sim.now + delay, ExecutionEngine._on_arrival, class_name)
         self._arrival_pending[class_name] = True
 
     def _on_arrival(self, class_name: str) -> None:
@@ -466,10 +445,7 @@ class ExecutionEngine:
             )
             if wtask.completion_deadline + 1 <= run.deadline:
                 self.sim.schedule(
-                    EventKind.ASSIGNMENT_TIMEOUT,
-                    wtask.completion_deadline + 1,
-                    node=run.node.id,
-                    microtask=mt_id,
+                    wtask.completion_deadline + 1, ExecutionEngine._on_timeout_sweep, run.node.id, mt_id
                 )
         if wtask.open_slots == 0:
             run.close(mt_id)
@@ -484,17 +460,10 @@ class ExecutionEngine:
         service_rng = self.sim.rng(f"service/{worker_class.name}")
         service = max(1, to_ticks(worker_class.service_time.sample(service_rng)))
         self.sim.schedule(
-            EventKind.ASSIGNMENT_RETURN,
-            self.sim.now + service,
-            node=run.node.id,
-            microtask=mt_id,
-            agent=agent_id,
+            self.sim.now + service, ExecutionEngine._on_return, run.node.id, mt_id, agent_id
         )
 
-    def _on_return(self, payload: dict[str, Any]) -> None:
-        node_id = payload["node"]
-        mt_id = payload["microtask"]
-        agent_id = payload["agent"]
+    def _on_return(self, node_id: str, mt_id: str, agent_id: str) -> None:
         run = self.runs[node_id]
         worker_class = self.pool.class_of(agent_id)
         wtask = run.wtasks.get(mt_id)
@@ -582,11 +551,10 @@ class ExecutionEngine:
         else:
             run.close(mt_id)  # window passed; finalization reads what it has
 
-    def _on_timeout_sweep(self, payload: dict[str, Any]) -> None:
-        run = self.runs[payload["node"]]
+    def _on_timeout_sweep(self, node_id: str, mt_id: str) -> None:
+        run = self.runs[node_id]
         if run.finished:
             return
-        mt_id = payload["microtask"]
         wtask = run.wtasks.get(mt_id)
         if wtask is None or self.sim.now <= wtask.completion_deadline:
             return
@@ -625,8 +593,6 @@ class ExecutionEngine:
             microtask.mark_evaluated()
             if microtask.route is Route.HUMAN:
                 run.state.n_human -= 1
-            else:
-                run.state.n_machine -= 1
         else:
             run.no_consensus_pending.add(mt_id)
         self.emit(
@@ -665,15 +631,16 @@ class ExecutionEngine:
             if microtask.status is MicrotaskStatus.UNASSIGNED:
                 microtask.mark_in_flight()
             service = max(1, to_ticks(station.profile.service_time_per_item))
+            ticket = next(station.tickets)
             event = self.sim.schedule(
-                EventKind.MACHINE_BATCH_DONE,
                 self.sim.now + service,
-                node=node_id,
-                microtask=mt_id,
-                profile=station.profile.name,
+                ExecutionEngine._on_machine_done,
+                node_id,
+                mt_id,
+                station.profile.name,
+                ticket,
             )
-            ticket = station.take(node_id, mt_id, event)
-            event.payload["ticket"] = ticket
+            station.in_flight[ticket] = (node_id, event)
             self._emit_ledger(
                 "machine_dispatched",
                 node=node_id,
@@ -682,11 +649,9 @@ class ExecutionEngine:
                 cost=cost,
             )
 
-    def _on_machine_done(self, payload: dict[str, Any]) -> None:
-        node_id = payload["node"]
-        mt_id = payload["microtask"]
-        station = self.stations[payload["profile"]]
-        station.in_flight.pop(payload["ticket"], None)
+    def _on_machine_done(self, node_id: str, mt_id: str, profile_name: str, ticket: int) -> None:
+        station = self.stations[profile_name]
+        station.in_flight.pop(ticket, None)
         run = self.runs[node_id]
         if run.finished:
             self._dispatch_machines()
@@ -714,8 +679,8 @@ class ExecutionEngine:
 
     # -- polling / control ----------------------------------------------------------
 
-    def _on_poll(self, payload: dict[str, Any]) -> None:
-        run = self.runs[payload["node"]]
+    def _on_poll(self, node_id: str, index: int) -> None:
+        run = self.runs[node_id]
         if run.finished:
             return
         now = self.sim.now
@@ -744,7 +709,7 @@ class ExecutionEngine:
         self._emit_ledger(
             "poll",
             node=run.node.id,
-            index=payload["index"],
+            index=index,
             hm_ratio=run.state.hm_ratio,
             completion_rate=run.state.completion_rate,
             risks=sorted(flag.value for flag in risks),
@@ -810,7 +775,6 @@ class ExecutionEngine:
         run.wtasks.pop(mt_id, None)
         microtask.route = Route.MACHINE
         run.state.n_human -= 1
-        run.state.n_machine += 1
         self.emit("reroute", node=run.node.id, microtask=mt_id)
         self._enqueue_machine(run, mt_id)
 
@@ -829,9 +793,7 @@ class ExecutionEngine:
         run.no_consensus_pending.discard(mt_id)
         self.emit("escalated", node=run.node.id, microtask=mt_id, want_votes=want)
 
-    def _on_script(self, payload: dict[str, Any]) -> None:
-        action = payload["action"]
-        params = payload["params"]
+    def _on_script(self, action: str, params: dict[str, Any]) -> None:
         if action == "set_arrival_rate":
             self.pool.set_base_rate(params["worker_class"], float(params["rate"]))
             self.emit("script_applied", action=action, params=params)
@@ -852,7 +814,7 @@ class ExecutionEngine:
         # cancel this node's machine work still in stations or queued
         for station in self.stations.values():
             for ticket in sorted(station.in_flight):
-                node_id, _, event = station.in_flight[ticket]
+                node_id, event = station.in_flight[ticket]
                 if node_id == run.node.id:
                     self.sim.cancel(event)
                     self.ledger.settle_timeout(station.cost_micros)

@@ -491,7 +491,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         # absent, not null: the key set feeds Scenario.digest
         del controller["assignment_window"]
 
-    payload: dict[str, Any] = {
+    raw: dict[str, Any] = {
         "schema_version": scenario.schema_version,
         "name": scenario.name,
         "seed": scenario.seed,
@@ -510,8 +510,8 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "machines": machines,
     }
     if scenario.script:
-        payload["script"] = [
+        raw["script"] = [
             {"at": event.at, "action": event.action, **event.params}
             for event in scenario.script
         ]
-    return payload
+    return raw

@@ -4,26 +4,25 @@ Events are totally ordered by (fire_at, sequence); sequence is a per-run
 insertion counter, so simultaneous events fire FIFO.  The clock is integer
 ticks and never moves backwards.  Randomness is split into labelled streams
 so that changing one model's draws does not perturb any other's.
+
+An event carries its own handler: `schedule(fire_at, handler, *args)`, and
+whoever steps the queue calls `event.handler(owner, *event.args)`.  The
+handler is a plain function, never a bound method, and the args are plain
+values (ids, names, indices), never the owner or an object that leads back
+to it.  The owner holds the simulation and the simulation holds the queued
+events, so an event that referred to the owner would close a reference
+cycle, and every finished run would stay in memory until the cyclic garbage
+collector happened to run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
-
-
-class EventKind(Enum):
-    WORKER_ARRIVAL = "worker_arrival"
-    ASSIGNMENT_RETURN = "assignment_return"
-    ASSIGNMENT_TIMEOUT = "assignment_timeout"
-    POLL_TICK = "poll_tick"
-    MACHINE_BATCH_DONE = "machine_batch_done"
-    SCENARIO_SCRIPT = "scenario_script"
 
 
 class EmptyQueue(Exception):
@@ -34,24 +33,13 @@ class HorizonExceeded(Exception):
     """The next event lies past the simulation horizon; the run is over."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     fire_at: int
     sequence: int
-    kind: EventKind
-    payload: dict[str, Any] = field(default_factory=dict)
+    handler: Callable[..., None]
+    args: tuple[Any, ...]
     cancelled: bool = False
-
-
-@dataclass
-class SimClock:
-    now: int = 0
-    horizon: int = 0
-
-    def advance(self, to: int) -> None:
-        if to < self.now:
-            raise ValueError(f"clock cannot move backwards: {to} < {self.now}")
-        self.now = to
 
 
 def seeded_rng(seed: int, stream_label: str) -> np.random.Generator:
@@ -70,13 +58,17 @@ def seeded_rng(seed: int, stream_label: str) -> np.random.Generator:
 
 
 class Simulation:
-    """Event queue plus clock plus labelled random streams for one run."""
+    """Event queue plus clock plus labelled random streams for one run.
+
+    `now` is the time of the last event stepped to; `horizon` is the last
+    tick an event may fire at."""
 
     def __init__(self, seed: int, horizon: int):
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative: {horizon}")
         self.seed = seed
-        self.clock = SimClock(now=0, horizon=horizon)
+        self.now = 0
+        self.horizon = horizon
         self._queue: list[tuple[int, int, SimEvent]] = []
         self._sequence = 0
         self._streams: dict[str, np.random.Generator] = {}
@@ -95,23 +87,14 @@ class Simulation:
 
     # -- event queue --------------------------------------------------------
 
-    @property
-    def now(self) -> int:
-        return self.clock.now
-
-    @property
-    def horizon(self) -> int:
-        return self.clock.horizon
-
-    def schedule(self, kind: EventKind, fire_at: int, **payload: Any) -> SimEvent:
-        if fire_at < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: {fire_at} < now {self.clock.now}"
-            )
-        event = SimEvent(fire_at=fire_at, sequence=self._sequence, kind=kind, payload=payload)
+    def schedule(self, fire_at: int, handler: Callable[..., None], *args: Any) -> SimEvent:
+        """Queue `handler` to be called with `args` at `fire_at`."""
+        if fire_at < self.now:
+            raise ValueError(f"cannot schedule in the past: {fire_at} < now {self.now}")
+        event = SimEvent(fire_at, self._sequence, handler, args)
         self._sequence += 1
         self.scheduled_count += 1
-        heapq.heappush(self._queue, (event.fire_at, event.sequence, event))
+        heapq.heappush(self._queue, (fire_at, event.sequence, event))
         return event
 
     def cancel(self, event: SimEvent) -> None:
@@ -138,10 +121,10 @@ class Simulation:
         next_time = self.peek_time()
         if next_time is None:
             raise EmptyQueue()
-        if next_time > self.clock.horizon:
+        if next_time > self.horizon:
             raise HorizonExceeded()
         _, _, event = heapq.heappop(self._queue)
-        self.clock.advance(event.fire_at)
+        self.now = event.fire_at
         self.fired_count += 1
         return event
 

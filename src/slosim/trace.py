@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator
+from typing import Any, Callable, IO, Iterable, Iterator
 
 from .units import TICKS_PER_UNIT, to_money
 
@@ -100,10 +100,12 @@ class TraceWriter:
 def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield the records of a trace file one at a time, in file order.
 
-    A line that is not one JSON object with a "kind" raises ValueError
-    naming the file and line."""
+    A line that is not UTF-8, or not one JSON object with a "kind", raises
+    ValueError naming the file and line."""
     loads = orjson.loads if orjson is not None else None
-    with open(path, "r", encoding="utf-8") as stream:
+    # A byte that is not UTF-8 reads as a lone surrogate instead of failing
+    # the read of the whole buffer, so the error below can name its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
@@ -133,10 +135,14 @@ def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
                     record = None
             if record is None:
                 try:
+                    if not line.isascii():
+                        # orjson rejects lone surrogates and json reads them, so
+                        # decode the line's bytes again to raise for a bad one
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
                     record, end = _raw_decode(line)
                     if end != len(line):
                         raise json.JSONDecodeError("Extra data", line, end)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                     raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
             if type(record) is not dict or "kind" not in record:
                 raise ValueError(f"{path}:{line_no}: bad trace record: not an object with a 'kind'")
@@ -223,10 +229,10 @@ class RunSummary:
         return self.finish_ticks / TICKS_PER_UNIT
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        payload["spent"] = self.spent
-        payload["finish"] = self.finish
-        return payload
+        data = asdict(self)
+        data["spent"] = self.spent
+        data["finish"] = self.finish
+        return data
 
 
 class SummaryReducer:
@@ -244,42 +250,49 @@ class SummaryReducer:
         self._run_end: dict[str, Any] | None = None
 
     def add(self, record: dict[str, Any]) -> None:
+        """Fold one record in.  A record that lacks a field its kind needs, or
+        holds one of the wrong type, raises ValueError naming its kind; the
+        header, node_start and run_end records are kept whole and read by
+        `result`, which checks them the same way."""
         kind = record["kind"]
-        if kind == "header":
-            self._header = record
-        elif kind == "node_start":
-            self._node_start[record["node"]] = record
-            self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
-        elif kind == "vote_result" and record["final"]:
-            bucket = self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
-            if record["status"] == "consensus":
-                bucket["consensus"] += 1
-            else:
-                bucket["no_consensus"] += 1
-        elif kind == "action":
-            counts = self._node_actions.setdefault(record["node"], {})
-            counts[record["action"]] = counts.get(record["action"], 0) + 1
-        elif kind == "node_end":
-            self._node_end[record["node"]] = record
-        elif kind == "assignment_issued":
-            agg = _class_bucket(self._class_agg, record["cls"])
-            agg["assignments"] += 1
-        elif kind == "assignment_returned":
-            agg = _class_bucket(self._class_agg, record["cls"])
-            agg["returned"] += 1
-            agg["correct"] += 1 if record["correct"] else 0
-            agg["service_ticks"] += record["service"]
-            agg["spend"] += record["reward"]
-        elif kind == "assignment_timeout":
-            agg = _class_bucket(self._class_agg, record["cls"])
-            agg["timed_out"] += 1
-        elif kind == "machine_done":
-            agg = self._machine_agg.setdefault(record["profile"], {"items": 0, "correct": 0, "spend": 0})
-            agg["items"] += 1
-            agg["correct"] += 1 if record["correct"] else 0
-            agg["spend"] += record["cost"]
-        elif kind == "run_end":
-            self._run_end = record
+        try:
+            if kind == "header":
+                self._header = record
+            elif kind == "node_start":
+                self._node_start[record["node"]] = record
+                self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+            elif kind == "vote_result" and record["final"]:
+                bucket = self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+                if record["status"] == "consensus":
+                    bucket["consensus"] += 1
+                else:
+                    bucket["no_consensus"] += 1
+            elif kind == "action":
+                counts = self._node_actions.setdefault(record["node"], {})
+                counts[record["action"]] = counts.get(record["action"], 0) + 1
+            elif kind == "node_end":
+                self._node_end[record["node"]] = record
+            elif kind == "assignment_issued":
+                agg = _class_bucket(self._class_agg, record["cls"])
+                agg["assignments"] += 1
+            elif kind == "assignment_returned":
+                agg = _class_bucket(self._class_agg, record["cls"])
+                agg["returned"] += 1
+                agg["correct"] += 1 if record["correct"] else 0
+                agg["service_ticks"] += record["service"]
+                agg["spend"] += record["reward"]
+            elif kind == "assignment_timeout":
+                agg = _class_bucket(self._class_agg, record["cls"])
+                agg["timed_out"] += 1
+            elif kind == "machine_done":
+                agg = self._machine_agg.setdefault(record["profile"], {"items": 0, "correct": 0, "spend": 0})
+                agg["items"] += 1
+                agg["correct"] += 1 if record["correct"] else 0
+                agg["spend"] += record["cost"]
+            elif kind == "run_end":
+                self._run_end = record
+        except (KeyError, TypeError) as exc:
+            raise bad_record(record, exc) from exc
 
     def result(self) -> RunSummary:
         """The run summary of the records added so far."""
@@ -288,16 +301,26 @@ class SummaryReducer:
         if self._run_end is None:
             raise ValueError("trace has no run_end record")
 
+        scenario, seed, task_slo = _read(
+            self._header, lambda r: (r["scenario"], r["seed"], _slo(r["task_slo"]))
+        )
+        end_time, spent, finish, events = _read(
+            self._run_end, lambda r: (r["time"], r["spent"], r["finish"], dict(r["events"]))
+        )
+        starts = {
+            node: _read(record, lambda r: (r["n"], _slo(r["slo"])))
+            for node, record in self._node_start.items()
+        }
         nodes = []
-        for node in sorted(self._node_start):
-            n = self._node_start[node]["n"]
+        for node in sorted(starts):
+            n, slo = starts[node]
             end = self._node_end.get(node, {})
             agreed = self._results[node]["consensus"]
             disagreed = self._results[node]["no_consensus"]
             evaluated = agreed + disagreed
             incomplete = n - evaluated
             rate = agreed / evaluated if evaluated else 0.0
-            finish = end.get("finish", self._run_end["time"])
+            node_finish = end.get("finish", end_time)
             spend = end.get("spend", 0)
             nodes.append(
                 NodeSummary(
@@ -309,8 +332,8 @@ class SummaryReducer:
                     incomplete=incomplete,
                     consensus_rate=rate,
                     spend_micros=spend,
-                    finish_ticks=finish,
-                    **_verdicts(self._node_start[node]["slo"], rate, spend, incomplete, finish),
+                    finish_ticks=node_finish,
+                    **_verdicts(slo, rate, spend, incomplete, node_finish),
                     actions=dict(sorted(self._node_actions.get(node, {}).items())),
                 )
             )
@@ -345,17 +368,15 @@ class SummaryReducer:
                 )
             )
 
-        total = sum(start["n"] for start in self._node_start.values())
+        total = sum(n for n, _ in starts.values())
         evaluated = sum(ns.evaluated for ns in nodes)
         agreed = sum(ns.consensus for ns in nodes)
         incomplete = total - evaluated
         rate = agreed / evaluated if evaluated else 0.0
-        spent = self._run_end["spent"]
-        finish = self._run_end["finish"]
 
         return RunSummary(
-            scenario=self._header["scenario"],
-            seed=self._header["seed"],
+            scenario=scenario,
+            seed=seed,
             microtask_total=total,
             evaluated=evaluated,
             consensus=agreed,
@@ -364,11 +385,11 @@ class SummaryReducer:
             completion_fraction=(evaluated / total) if total else 1.0,
             spent_micros=spent,
             finish_ticks=finish,
-            **_verdicts(self._header["task_slo"], rate, spent, incomplete, finish),
+            **_verdicts(task_slo, rate, spent, incomplete, finish),
             nodes=tuple(nodes),
             classes=tuple(classes),
             machines=tuple(machines),
-            events=dict(self._run_end["events"]),
+            events=events,
         )
 
 
@@ -380,16 +401,41 @@ def summarize(records: Iterable[dict[str, Any]]) -> RunSummary:
     return reducer.result()
 
 
+def bad_record(record: dict[str, Any], exc: Exception) -> ValueError:
+    """The error for a record that lacks a field its kind needs (`exc` is a
+    KeyError) or holds a value of the wrong type."""
+    if isinstance(exc, KeyError):
+        problem = f"has no field {exc.args[0]!r}"
+    else:
+        problem = f"has a field of the wrong type: {exc}"
+    return ValueError(f"bad trace record: {record['kind']!r} record {problem}")
+
+
+def _read(record: dict[str, Any], fields: Callable[[dict[str, Any]], tuple]) -> tuple:
+    """`fields(record)`, the fields `result` needs of a record it kept, with a
+    missing or mistyped one raised as bad_record."""
+    try:
+        return fields(record)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise bad_record(record, exc) from exc
+
+
+def _slo(fields: dict[str, Any]) -> tuple[float, int, int]:
+    """An SLO as recorded in a trace: (accuracy, budget_micros, deadline_ticks)."""
+    return fields["accuracy"], fields["budget_micros"], fields["deadline_ticks"]
+
+
 def _verdicts(
-    slo: dict[str, Any], rate: float, spend: int, incomplete: int, finish: int
+    slo: tuple[float, int, int], rate: float, spend: int, incomplete: int, finish: int
 ) -> dict[str, SloVerdict]:
     """The accuracy, budget and time verdicts of a node or the task against its SLO."""
+    accuracy, budget_micros, deadline_ticks = slo
     return {
-        "accuracy": SloVerdict(rate >= slo["accuracy"], rate - slo["accuracy"]),
-        "budget": SloVerdict(spend <= slo["budget_micros"], to_money(slo["budget_micros"] - spend)),
+        "accuracy": SloVerdict(rate >= accuracy, rate - accuracy),
+        "budget": SloVerdict(spend <= budget_micros, to_money(budget_micros - spend)),
         "time": SloVerdict(
-            incomplete == 0 and finish <= slo["deadline_ticks"],
-            (slo["deadline_ticks"] - finish) / TICKS_PER_UNIT,
+            incomplete == 0 and finish <= deadline_ticks,
+            (deadline_ticks - finish) / TICKS_PER_UNIT,
         ),
     }
 

@@ -161,6 +161,65 @@ def test_report_line_that_is_not_a_record_is_config_error(scenario_file, tmp_pat
     assert capsys.readouterr().err == f"error: {trace}:2: bad trace record: not an object with a 'kind'\n"
 
 
+def _traced(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    main(["run", str(scenario_file), "--out", str(out)])
+    trace = out / "trace.jsonl"
+    return trace, trace.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({"kind": "vote_result", "time": 5}, "has no field 'final'"),
+        ({"kind": "vote_result", "time": 5, "final": True, "node": "label"}, "has no field 'status'"),
+        ({"kind": "assignment_returned", "time": 5, "cls": "crowd", "correct": True}, "has no field 'service'"),
+        ({"kind": "machine_done", "time": 5, "profile": ["solver"]}, "has a field of the wrong type: "),
+        ({"kind": "worker_arrival", "time": 5}, "has no field 'cls'"),
+        ({"kind": "poll", "time": 5, "node": "label"}, "has no field 'index'"),
+        ({"kind": "node_start", "time": 5, "node": "other", "n": 1}, "has no field 'slo'"),
+    ],
+)
+def test_report_record_lacking_a_field_its_kind_needs_is_config_error(
+    scenario_file, tmp_path, capsys, record, problem
+):
+    trace, lines = _traced(scenario_file, tmp_path)
+    lines.insert(1, json.dumps(record) + "\n")  # right after the header
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["report", str(trace), "--format", "csv", "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad trace record: {record['kind']!r} record {problem}")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("kind, field", [("header", "seed"), ("run_end", "events")])
+def test_report_kept_record_lacking_a_field_is_config_error(scenario_file, tmp_path, capsys, kind, field):
+    trace, lines = _traced(scenario_file, tmp_path)
+    index = 0 if kind == "header" else len(lines) - 1
+    record = json.loads(lines[index])
+    del record[field]
+    lines[index] = json.dumps(record) + "\n"
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: bad trace record: {kind!r} record has no field {field!r}\n"
+
+
+def test_report_undecodable_line_is_config_error(scenario_file, tmp_path, capsys, codec):
+    trace, lines = _traced(scenario_file, tmp_path)
+    data = [line.encode("utf-8") for line in lines]
+    data[1] = data[1].replace(b'"kind"', b'"\xffkind"')
+    trace.write_bytes(b"".join(data))
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["report", str(trace), "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}:2: bad trace record: 'utf-8' codec can't decode byte 0xff")
+    assert not rep.exists()
+
+
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("SLOSIM_OUT_DIR", str(target))

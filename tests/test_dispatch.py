@@ -9,7 +9,7 @@ from slosim.agents import AgentPool, ServiceTime, WorkerClass
 from slosim.controller import BudgetLedger, ControllerConfig
 from slosim.runner import ExecutionEngine, _NodeRun, run
 from slosim.scenario import load_scenario, scenario_from_dict
-from slosim.sim import EventKind, Simulation
+from slosim.sim import Simulation
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter
 from slosim.units import to_micros
@@ -80,8 +80,8 @@ def test_windowed_wtask_with_nothing_pending_leaves_open_list_at_its_sweep():
 
     while True:
         event = engine.sim.step()
-        engine._handle(event)
-        if event.kind is EventKind.ASSIGNMENT_TIMEOUT:
+        event.handler(engine, *event.args)
+        if event.handler is ExecutionEngine._on_timeout_sweep:
             break
     assert engine.sim.now == wtask.completion_deadline + 1
     assert not wtask.pending()  # the one worker returned inside the window

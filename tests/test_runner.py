@@ -1,12 +1,14 @@
+import gc
 import hashlib
+from collections import Counter
 
 import pytest
 
 from slosim.agents import AgentPool, MachineAgentProfile, ServiceTime, WorkerClass
 from slosim.controller import ControllerConfig
-from slosim.runner import run, run_node
+from slosim.runner import ExecutionEngine, _NodeRun, run, run_node
 from slosim.scenario import load_scenario, scenario_from_dict
-from slosim.sim import Simulation
+from slosim.sim import SimEvent, Simulation
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter, read_trace, summarize
 from slosim.units import to_ticks
@@ -195,6 +197,47 @@ def test_microtask_conservation_at_end(scenario_dict):
     result = run_raw(raw)
     summary = result.summary
     assert summary.evaluated + summary.incomplete == summary.microtask_total
+
+
+def _engine_objects() -> Counter:
+    return Counter(
+        type(o).__name__ for o in gc.get_objects() if isinstance(o, (ExecutionEngine, _NodeRun, SimEvent))
+    )
+
+
+def _run_hybrid_node() -> None:
+    node = WorkflowNode(id="n", label="n", agent_tag=AgentTag.EITHER, microtask_count=40)
+    slo = SloSpec(accuracy_target=0.9, budget=1.0, deadline=50.0)
+    pool = AgentPool(
+        workers=(
+            WorkerClass(
+                name="w", accuracy=0.7, arrival_rate=0.5,
+                service_time=ServiceTime(family="exponential", mean=3.0),
+            ),
+        ),
+        machines=(MachineAgentProfile("m", accuracy=0.6, service_time_per_item=2.0, capacity=2),),
+    )
+    run_node(node, slo, ControllerConfig(), pool, Simulation(seed=3, horizon=to_ticks(50.0)))
+
+
+def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
+    """Events hold plain functions and plain values, so nothing a run builds
+    refers back to its engine.  With the cyclic collector off, dropping the
+    result must free the engine, its node runs and every event, queued or
+    not, by reference counting alone."""
+    scenarios = [load_scenario(path) for path in sorted(SCENARIOS_DIR.glob("*.yaml"))]
+    gc.collect()
+    before = _engine_objects()
+    gc.disable()
+    try:
+        for scenario in scenarios:
+            run(scenario)
+            run(scenario, trace_path=tmp_path / f"{scenario.name}.jsonl")
+        _run_hybrid_node()
+        after = _engine_objects()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 # -- polling ----------------------------------------------------------------------

@@ -1,36 +1,56 @@
 import numpy as np
 import pytest
 
-from slosim.sim import EmptyQueue, EventKind, HorizonExceeded, Simulation, seeded_rng
+from slosim.sim import EmptyQueue, HorizonExceeded, Simulation, seeded_rng
 
 
 def sim(horizon=1_000):
     return Simulation(seed=42, horizon=horizon)
 
 
+def handler(owner, *args):
+    owner.append(args)
+
+
 def test_step_advances_to_next_event():
     s = sim()
-    s.schedule(EventKind.POLL_TICK, 4)
-    s.schedule(EventKind.POLL_TICK, 1)
+    s.schedule(4, handler)
+    s.schedule(1, handler)
     event = s.step()
     assert event.fire_at == 1
     assert s.now == 1
 
 
+def test_event_carries_its_handler_and_args():
+    s = sim()
+    scheduled = s.schedule(3, handler, "node", 7)
+    event = s.step()
+    assert event is scheduled
+    assert (event.fire_at, event.sequence, event.args) == (3, 0, ("node", 7))
+    seen = []
+    event.handler(seen, *event.args)
+    assert seen == [("node", 7)]
+
+
+def test_clock_starts_at_zero_with_the_given_horizon():
+    s = sim(horizon=10)
+    assert (s.now, s.horizon) == (0, 10)
+
+
 def test_simultaneous_events_fire_fifo():
     s = sim()
-    first = s.schedule(EventKind.POLL_TICK, 5, tag="first")
-    second = s.schedule(EventKind.POLL_TICK, 5, tag="second")
+    first = s.schedule(5, handler, "first")
+    second = s.schedule(5, handler, "second")
     assert s.step() is first
     assert s.step() is second
 
 
 def test_scheduling_in_the_past_rejected():
     s = sim()
-    s.schedule(EventKind.POLL_TICK, 3)
+    s.schedule(3, handler)
     s.step()
     with pytest.raises(ValueError):
-        s.schedule(EventKind.POLL_TICK, 2)
+        s.schedule(2, handler)
 
 
 def test_empty_queue_raises():
@@ -40,7 +60,7 @@ def test_empty_queue_raises():
 
 def test_event_past_horizon_ends_run():
     s = sim(horizon=10)
-    s.schedule(EventKind.POLL_TICK, 11)
+    s.schedule(11, handler)
     with pytest.raises(HorizonExceeded):
         s.step()
     assert s.end_report()["unfired"] == 1
@@ -48,17 +68,17 @@ def test_event_past_horizon_ends_run():
 
 def test_event_scheduled_at_now_fires_before_later_events():
     s = sim()
-    s.schedule(EventKind.POLL_TICK, 5, tag="outer")
-    s.schedule(EventKind.POLL_TICK, 9, tag="later")
+    s.schedule(5, handler, "outer")
+    s.schedule(9, handler, "later")
     s.step()
-    inner = s.schedule(EventKind.POLL_TICK, s.now, tag="inner")
+    inner = s.schedule(s.now, handler, "inner")
     assert s.step() is inner
 
 
 def test_cancelled_events_are_skipped_and_counted():
     s = sim()
-    doomed = s.schedule(EventKind.POLL_TICK, 2)
-    keeper = s.schedule(EventKind.POLL_TICK, 3)
+    doomed = s.schedule(2, handler)
+    keeper = s.schedule(3, handler)
     s.cancel(doomed)
     assert s.step() is keeper
     report = s.end_report()
@@ -69,7 +89,7 @@ def test_clock_monotone_over_trace():
     s = sim()
     rng = np.random.default_rng(0)
     for t in rng.integers(0, 1000, size=50):
-        s.schedule(EventKind.POLL_TICK, int(t))
+        s.schedule(int(t), handler)
     last = -1
     for _ in range(50):
         event = s.step()

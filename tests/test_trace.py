@@ -117,6 +117,23 @@ def test_bad_line_is_rejected_on_each_codec(tmp_path, codec, bad, message):
     assert str(excinfo.value) == f"{path}:2: bad trace record: {message}"
 
 
+def test_undecodable_line_names_path_and_line_on_each_codec(tmp_path, codec):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b'{"kind":"a"}\n{"kind":"\xff"}\n{"kind":"b"}\n')
+    with pytest.raises(ValueError) as excinfo:
+        read_trace(path)
+    assert str(excinfo.value) == (
+        f"{path}:2: bad trace record: 'utf-8' codec can't decode byte 0xff"
+        " in position 9: invalid start byte"
+    )
+
+
+def test_raw_utf8_text_is_read_on_each_codec(tmp_path, codec):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes('{"kind":"café ☃"}\n {"kind":"b"}\n'.encode("utf-8"))
+    assert read_trace(path) == [{"kind": "café ☃"}, {"kind": "b"}]
+
+
 # Lines orjson does not read as json does: it rejects NaN, infinities and lone
 # surrogates, and reads an int outside the 64-bit range as a float.
 JSON_ONLY_LINES = [
