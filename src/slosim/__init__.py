@@ -36,10 +36,8 @@ from .tasks import (
     AssignmentOutcome,
     AssignmentRecord,
     Microtask,
-    MicrotaskStatus,
     Route,
     WTask,
-    WTaskState,
     expire_overdue,
     issue_assignment,
     record_return,
@@ -83,7 +81,6 @@ __all__ = [
     "GraphInvalid",
     "MachineAgentProfile",
     "Microtask",
-    "MicrotaskStatus",
     "NodeOutcome",
     "RiskFlag",
     "Route",
@@ -99,7 +96,6 @@ __all__ = [
     "ValidationReport",
     "VoteSet",
     "WTask",
-    "WTaskState",
     "WorkerClass",
     "WorkflowGraph",
     "WorkflowNode",

@@ -34,10 +34,8 @@ from .tasks import (
     AssignmentOutcome,
     AssignmentRecord,
     Microtask,
-    MicrotaskStatus,
     Route,
     WTask,
-    WTaskState,
     expire_overdue,
     issue_assignment,
     record_return,
@@ -84,12 +82,9 @@ class _NodeRun:
             hm_ratio=config.initial_hm_ratio, ewma_alpha=config.ewma_alpha
         )
         self.microtasks: dict[str, Microtask] = {}
-        self.truths: dict[str, str] = {}
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
         self.open_set: set[str] = set()  # the members of open_wtasks
-        self.machine_votes: dict[str, list[str]] = {}
-        self.machine_want: dict[str, int] = {}
         self.results: dict[str, ConsensusResult] = {}
         self.final: set[str] = set()
         self.no_consensus_pending: set[str] = set()
@@ -123,13 +118,10 @@ class _NodeRun:
         ]
 
     def check_conservation(self) -> None:
-        # every microtask has exactly one status, so the tally sums to the count
         if len(self.microtasks) != self.node.microtask_count:
-            counts = {status: 0 for status in MicrotaskStatus}
-            for microtask in self.microtasks.values():
-                counts[microtask.status] += 1
             raise RuntimeError(
-                f"conservation broken on node {self.node.id}: {counts} != {self.node.microtask_count}"
+                f"conservation broken on node {self.node.id}: "
+                f"{len(self.microtasks)} microtasks != {self.node.microtask_count}"
             )
 
 
@@ -299,22 +291,17 @@ class ExecutionEngine:
             slo=self._slo_fields(slo),
         )
 
+        if not domain:
+            raise ValueError("answer domain must be non-empty")
+        if len(set(domain)) != len(domain):
+            raise ValueError(f"answer domain has duplicates: {list(domain)}")
         # one call for all n truths; it leaves the stream where n scalar draws would
         truth_rng = self.sim.rng(f"truth/{node_id}")
         truth_indices = truth_rng.integers(len(domain), size=n).tolist()
         for i, truth_index in enumerate(truth_indices):
             mt_id = f"{node_id}:{i:05d}"
-            truth = domain[truth_index]
             route = Route.HUMAN if i < n_human else Route.MACHINE
-            microtask = Microtask(
-                id=mt_id,
-                node_id=node_id,
-                payload_ref=f"{node_id}/item-{i:05d}",
-                answer_domain=domain,
-                route=route,
-            )
-            run.microtasks[mt_id] = microtask
-            run.truths[mt_id] = truth
+            run.microtasks[mt_id] = Microtask(id=mt_id, route=route, truth=domain[truth_index])
 
         if run.deadline <= now or n == 0:
             # window already elapsed (a predecessor overran) or nothing to do
@@ -327,7 +314,7 @@ class ExecutionEngine:
             if microtask.route is Route.HUMAN:
                 self._spawn_human(run, microtask, reward)
             else:
-                self._enqueue_machine(run, microtask.id)
+                self._enqueue_machine(run, microtask)
 
         for index, instant in enumerate(
             poll_instants(now, run.deadline, self.config.polling_intervals)
@@ -341,29 +328,24 @@ class ExecutionEngine:
         self._dispatch_machines()
 
     def _spawn_human(self, run: _NodeRun, microtask: Microtask, reward: int) -> None:
-        wtask = spawn_wtask(
-            microtask,
-            self.config.replication_w,
-            (run.deadline, run.deadline),
-            reward,
-        )
+        wtask = spawn_wtask(microtask, self.config.replication_w, run.deadline)
         run.wtasks[microtask.id] = wtask
         run.reopen(microtask.id)
         self.emit(
             "wtask_spawned",
             node=run.node.id,
             microtask=microtask.id,
-            w=wtask.replication_w,
+            w=self.config.replication_w,
             reward=reward,
             completion_deadline=wtask.completion_deadline,
             expiry_deadline=run.deadline,
         )
 
-    def _enqueue_machine(self, run: _NodeRun, mt_id: str) -> None:
+    def _enqueue_machine(self, run: _NodeRun, microtask: Microtask) -> None:
         copies = self.config.machine_replication
-        run.machine_want[mt_id] = run.machine_want.get(mt_id, 0) + copies
+        microtask.machine_want += copies
         for _ in range(copies):
-            self.machine_queue.append((run.node.id, mt_id))
+            self.machine_queue.append((run.node.id, microtask.id))
 
     # -- event handling ---------------------------------------------------------
     # Each event's handler is one of the plain functions `ExecutionEngine._on_*`
@@ -474,16 +456,17 @@ class ExecutionEngine:
             self._release_worker(agent_id, worker_class)
             return
 
+        truth = run.microtasks[mt_id].truth
         answer_rng = self.sim.rng(f"answers/{worker_class.name}")
-        answer = answer_microtask(
-            worker_class.accuracy, run.domain, run.truths[mt_id], answer_rng
-        )
+        answer = answer_microtask(worker_class.accuracy, run.domain, truth, answer_rng)
 
         rejected = self.reject is not None and self.reject(mt_id, agent_id, answer)
-        if not rejected:
-            record_return(wtask, agent_id, answer, self.sim.now)
-
-        if record.outcome is AssignmentOutcome.RETURNED:
+        if rejected or self.sim.now > wtask.completion_deadline:
+            # late or rejected: discard, release the reservation, reopen the slot
+            self._time_out(run, mt_id, record, rejected)
+            self._after_slot_freed(run, wtask, mt_id)
+        else:
+            record_return(record, answer)
             self.ledger.settle_return(record.reward_micros)
             run.spend_micros += record.reward_micros
             self._emit_ledger(
@@ -493,16 +476,12 @@ class ExecutionEngine:
                 agent=agent_id,
                 cls=worker_class.name,
                 answer=answer,
-                correct=answer == run.truths[mt_id],
+                correct=answer == truth,
                 service=self.sim.now - record.issued_at,
                 reward=record.reward_micros,
             )
-            if wtask.state is WTaskState.DONE:
+            if wtask.done:
                 self._evaluate_votes(run, mt_id)
-        else:
-            # late or rejected: discard, release the reservation, reopen the slot
-            self._time_out(run, mt_id, record, rejected)
-            self._after_slot_freed(run, wtask, mt_id)
 
         self._release_worker(agent_id, worker_class)
         self._dispatch_workers()
@@ -536,7 +515,7 @@ class ExecutionEngine:
         if not self.config.corrections_enabled:
             wtask.drop_unfilled_slots()
             run.close(mt_id)
-            if wtask.state is WTaskState.DONE and wtask.votes():
+            if wtask.done and wtask.votes():
                 self._evaluate_votes(run, mt_id)
             return
         if self.sim.now <= wtask.completion_deadline and wtask.open_slots > 0:
@@ -578,7 +557,7 @@ class ExecutionEngine:
             wtask = run.wtasks.get(mt_id)
             votes = tuple(wtask.votes()) if wtask is not None else ()
         else:
-            votes = tuple(run.machine_votes.get(mt_id, ()))
+            votes = tuple(microtask.machine_votes)
         result = majority_vote(
             VoteSet(mt_id, votes, run.domain), rule=self.config.vote_rule
         )
@@ -590,7 +569,6 @@ class ExecutionEngine:
             run.final.add(mt_id)
             run.no_consensus_pending.discard(mt_id)
             run.close(mt_id)
-            microtask.mark_evaluated()
             if microtask.route is Route.HUMAN:
                 run.state.n_human -= 1
         else:
@@ -627,9 +605,6 @@ class ExecutionEngine:
             if not self.ledger.commit(cost):
                 return  # head of line blocks until budget frees up
             self.machine_queue.popleft()
-            microtask = run.microtasks[mt_id]
-            if microtask.status is MicrotaskStatus.UNASSIGNED:
-                microtask.mark_in_flight()
             service = max(1, to_ticks(station.profile.service_time_per_item))
             ticket = next(station.tickets)
             event = self.sim.schedule(
@@ -657,23 +632,22 @@ class ExecutionEngine:
             self._dispatch_machines()
             return
         profile = station.profile
+        microtask = run.microtasks[mt_id]
         answer_rng = self.sim.rng(f"answers/machine/{profile.name}")
-        answer = answer_microtask(
-            profile.accuracy, run.domain, run.truths[mt_id], answer_rng
-        )
+        answer = answer_microtask(profile.accuracy, run.domain, microtask.truth, answer_rng)
         self.ledger.settle_return(station.cost_micros)
         run.spend_micros += station.cost_micros
-        run.machine_votes.setdefault(mt_id, []).append(answer)
+        microtask.machine_votes.append(answer)
         self._emit_ledger(
             "machine_done",
             node=node_id,
             microtask=mt_id,
             profile=profile.name,
             answer=answer,
-            correct=answer == run.truths[mt_id],
+            correct=answer == microtask.truth,
             cost=station.cost_micros,
         )
-        if len(run.machine_votes[mt_id]) >= run.machine_want.get(mt_id, 1):
+        if len(microtask.machine_votes) >= microtask.machine_want:
             self._evaluate_votes(run, mt_id)
         self._dispatch_machines()
 
@@ -776,7 +750,7 @@ class ExecutionEngine:
         microtask.route = Route.MACHINE
         run.state.n_human -= 1
         self.emit("reroute", node=run.node.id, microtask=mt_id)
-        self._enqueue_machine(run, mt_id)
+        self._enqueue_machine(run, microtask)
 
     def _escalate(self, run: _NodeRun, mt_id: str) -> None:
         microtask = run.microtasks[mt_id]
@@ -788,7 +762,8 @@ class ExecutionEngine:
             run.reopen(mt_id)
             want = wtask.want_votes
         else:
-            want = run.machine_want[mt_id] = run.machine_want.get(mt_id, 0) + 1
+            microtask.machine_want += 1
+            want = microtask.machine_want
             self.machine_queue.append((run.node.id, mt_id))
         run.no_consensus_pending.discard(mt_id)
         self.emit("escalated", node=run.node.id, microtask=mt_id, want_votes=want)

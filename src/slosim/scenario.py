@@ -23,13 +23,23 @@ from .workflow import AgentTag, WorkflowGraph, WorkflowNode, validate
 
 SCHEMA_VERSION = 1
 
-SCRIPT_ACTIONS = {"set_arrival_rate"}
-
 # libyaml's scanner and parser when PyYAML was built with them; the resolver
 # and constructor are PyYAML's Python code either way, so values are equal.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
+
+# the keys each section may hold; any other key is reported as unknown
+TOP_FIELDS = (
+    "schema_version", "name", "seed", "time_unit", "slo", "controller",
+    "workflow", "workers", "machines", "script",
+)
+SLO_FIELDS = ("accuracy_target", "budget", "deadline")
+WORKER_FIELDS = ("name", "accuracy", "arrival_rate", "service_time", "min_reward", "retention")
+MACHINE_FIELDS = ("name", "accuracy", "service_time_per_item", "cost_per_item", "capacity")
+WORKFLOW_FIELDS = ("nodes", "edges")
+NODE_FIELDS = ("id", "label", "agent_tag", "microtask_count", "answer_domain", "slo")
+SCRIPT_FIELDS = {"set_arrival_rate": ("at", "action", "worker_class", "rate")}  # by action
 
 
 class ScenarioError(ValueError):
@@ -159,6 +169,7 @@ def _list_index(items: list, part: str, dotted: str) -> int:
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     problems: list[str] = []
+    _unknown_keys(raw, TOP_FIELDS, "", problems)
 
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -222,6 +233,12 @@ def _check_references(
             )
 
 
+def _unknown_keys(raw: dict[str, Any], known: tuple[str, ...], where: str, problems: list[str]) -> None:
+    prefix = f"{where}." if where else ""
+    for key in sorted(set(raw) - set(known), key=str):
+        problems.append(f"{prefix}{key}: unknown field")
+
+
 def _expect(raw: dict[str, Any], key: str, cls: type, problems: list[str]) -> Any:
     value = raw.get(key)
     if not isinstance(value, cls):
@@ -234,6 +251,7 @@ def _parse_slo(raw: Any, where: str, problems: list[str]) -> SloSpec | None:
     if not isinstance(raw, dict):
         problems.append(f"{where}: missing or not a mapping")
         return None
+    _unknown_keys(raw, SLO_FIELDS, where, problems)
     try:
         return SloSpec(
             accuracy_target=float(raw.get("accuracy_target", 0.0)),
@@ -249,8 +267,7 @@ def _parse_controller(raw: Any, problems: list[str]) -> ControllerConfig:
     if not isinstance(raw, dict):
         problems.append("controller: must be a mapping")
         return ControllerConfig()
-    for key in sorted(set(raw) - set(CONTROLLER_FIELDS)):
-        problems.append(f"controller.{key}: unknown field")
+    _unknown_keys(raw, CONTROLLER_FIELDS, "controller", problems)
     try:
         return ControllerConfig(**{k: v for k, v in raw.items() if k in CONTROLLER_FIELDS})
     except (TypeError, ValueError) as exc:
@@ -280,6 +297,7 @@ def _parse_workers(raw: Any, problems: list[str]) -> list[WorkerClass]:
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be a mapping")
             continue
+        _unknown_keys(entry, WORKER_FIELDS, where, problems)
         service = _parse_service_time(entry.get("service_time"), f"{where}.service_time", problems)
         try:
             workers.append(
@@ -307,6 +325,11 @@ def _parse_machines(raw: Any, problems: list[str]) -> list[MachineAgentProfile]:
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be a mapping")
             continue
+        _unknown_keys(entry, MACHINE_FIELDS, where, problems)
+        capacity = entry.get("capacity", 1)
+        if not isinstance(capacity, int) or isinstance(capacity, bool):
+            problems.append(f"{where}.capacity: must be an integer, got {capacity!r}")
+            continue
         try:
             machines.append(
                 MachineAgentProfile(
@@ -314,7 +337,7 @@ def _parse_machines(raw: Any, problems: list[str]) -> list[MachineAgentProfile]:
                     accuracy=float(entry.get("accuracy", -1)),
                     service_time_per_item=float(entry.get("service_time_per_item", 0)),
                     cost_per_item=float(entry.get("cost_per_item", 0.0)),
-                    capacity=int(entry.get("capacity", 1)),
+                    capacity=capacity,
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -328,6 +351,7 @@ def _parse_workflow(
     if not isinstance(raw, dict):
         problems.append("workflow: missing or not a mapping")
         return None, {}
+    _unknown_keys(raw, WORKFLOW_FIELDS, "workflow", problems)
     nodes_raw = raw.get("nodes")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         problems.append("workflow.nodes: must be a non-empty list")
@@ -340,6 +364,7 @@ def _parse_workflow(
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be a mapping")
             continue
+        _unknown_keys(entry, NODE_FIELDS, where, problems)
         node_id = entry.get("id")
         if not isinstance(node_id, str) or not node_id:
             problems.append(f"{where}.id: must be a non-empty string")
@@ -418,9 +443,10 @@ def _parse_script(raw: Any, problems: list[str]) -> list[ScriptEvent]:
             problems.append(f"{where}.at: must be a non-negative number")
             continue
         action = entry.get("action")
-        if action not in SCRIPT_ACTIONS:
-            problems.append(f"{where}.action: {action!r} not one of {sorted(SCRIPT_ACTIONS)}")
+        if action not in SCRIPT_FIELDS:
+            problems.append(f"{where}.action: {action!r} not one of {sorted(SCRIPT_FIELDS)}")
             continue
+        _unknown_keys(entry, SCRIPT_FIELDS[action], where, problems)
         params = {k: v for k, v in entry.items() if k not in ("at", "action")}
         if action == "set_arrival_rate":
             if not isinstance(params.get("worker_class"), str):

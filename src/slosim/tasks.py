@@ -1,9 +1,13 @@
-"""Microtask and replicated-assignment (w-task) lifecycle.
+"""Microtasks and replicated assignments (w-tasks).
 
-A human-routed microtask is posted as a w-task: a bundle of `want_votes`
-parallel assignment slots.  Slots are filled as workers become available;
-a timed-out assignment frees its slot for reassignment.  The w-task is
-done once every wanted vote has been returned and nothing is pending.
+A microtask carries its ground truth and its route.  A human-routed
+microtask is posted as a w-task: a bundle of `want_votes` parallel
+assignment slots, filled as workers become available.  The engine decides
+whether a returned answer is on time: `record_return` registers an on-time
+answer, and a late, rejected or overdue assignment is timed out by the
+engine, which frees its slot for reassignment.  The w-task is done once
+every wanted vote has been returned and nothing is pending.  A machine-routed
+microtask collects its votes on the microtask itself.
 """
 
 from __future__ import annotations
@@ -17,49 +21,19 @@ class Route(Enum):
     MACHINE = "machine"
 
 
-class MicrotaskStatus(Enum):
-    UNASSIGNED = "unassigned"
-    IN_FLIGHT = "in_flight"
-    EVALUATED = "evaluated"
-
-
 class AssignmentOutcome(Enum):
     PENDING = "pending"
     RETURNED = "returned"
     TIMED_OUT = "timed_out"
 
 
-class WTaskState(Enum):
-    PICKED = "picked"
-    DONE = "done"
-
-
 @dataclass
 class Microtask:
     id: str
-    node_id: str
-    payload_ref: str
-    answer_domain: tuple[str, ...]
     route: Route
-    status: MicrotaskStatus = MicrotaskStatus.UNASSIGNED
-
-    def __post_init__(self) -> None:
-        if not self.answer_domain:
-            raise ValueError("answer domain must be non-empty")
-        if len(set(self.answer_domain)) != len(self.answer_domain):
-            raise ValueError(f"answer domain has duplicates: {list(self.answer_domain)}")
-
-    def mark_in_flight(self) -> None:
-        if self.status is MicrotaskStatus.EVALUATED:
-            raise ValueError(f"microtask {self.id} already evaluated")
-        self.status = MicrotaskStatus.IN_FLIGHT
-
-    def mark_evaluated(self) -> None:
-        if self.status is not MicrotaskStatus.IN_FLIGHT:
-            raise ValueError(
-                f"microtask {self.id} must be in flight to evaluate (is {self.status.value})"
-            )
-        self.status = MicrotaskStatus.EVALUATED
+    truth: str
+    machine_votes: list[str] = field(default_factory=list)
+    machine_want: int = 0  # machine votes wanted: replication plus escalation extras
 
 
 @dataclass
@@ -67,7 +41,6 @@ class AssignmentRecord:
     agent_id: str
     issued_at: int
     reward_micros: int
-    returned_at: int | None = None
     answer: str | None = None
     outcome: AssignmentOutcome = AssignmentOutcome.PENDING
 
@@ -79,14 +52,9 @@ class AssignmentRecord:
 @dataclass
 class WTask:
     microtask_id: str
-    replication_w: int
+    want_votes: int  # the replication plus escalation extras
     completion_deadline: int
-    want_votes: int = 0  # replication_w plus escalation extras
     assignments: list[AssignmentRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.want_votes == 0:
-            self.want_votes = self.replication_w
 
     # -- derived counts -----------------------------------------------------
 
@@ -101,13 +69,11 @@ class WTask:
         return self.want_votes - len(self.returned()) - len(self.pending())
 
     @property
-    def state(self) -> WTaskState:
-        if self.open_slots == 0 and not self.pending():
-            return WTaskState.DONE
-        return WTaskState.PICKED
+    def done(self) -> bool:
+        return self.open_slots == 0 and not self.pending()
 
     def votes(self) -> list[str]:
-        return [a.answer for a in self.returned() if a.answer is not None]
+        return [a.answer for a in self.returned()]
 
     def pending_for(self, agent_id: str) -> AssignmentRecord | None:
         """The agent's pending assignment on this w-task, if it holds one."""
@@ -132,32 +98,14 @@ class WTask:
         self.want_votes = len(self.returned()) + len(self.pending())
 
 
-def spawn_wtask(
-    microtask: Microtask,
-    w: int,
-    deadlines: tuple[int, int],
-    reward_micros: int,
-) -> WTask:
-    """Post a human-routed microtask as a bundle of w parallel slots.
-
-    The microtask becomes in-flight immediately; assignments are issued
-    later, as workers pick the task up.
-    """
+def spawn_wtask(microtask: Microtask, w: int, completion_deadline: int) -> WTask:
+    """Post a human-routed microtask as a bundle of w parallel slots;
+    assignments are issued later, as workers pick the task up."""
     if microtask.route is not Route.HUMAN:
         raise ValueError(f"cannot spawn a w-task for a machine-routed microtask: {microtask.id}")
     if w < 1:
         raise ValueError(f"replication must be >= 1: {w}")
-    completion, expiry = deadlines
-    if completion > expiry:
-        raise ValueError(f"deadlines inverted: completion {completion} > expiry {expiry}")
-    if reward_micros < 0:
-        raise ValueError(f"reward must be >= 0: {reward_micros}")
-    microtask.mark_in_flight()
-    return WTask(
-        microtask_id=microtask.id,
-        replication_w=w,
-        completion_deadline=completion,
-    )
+    return WTask(microtask_id=microtask.id, want_votes=w, completion_deadline=completion_deadline)
 
 
 def issue_assignment(wtask: WTask, agent_id: str, at: int, reward_micros: int) -> AssignmentRecord:
@@ -171,39 +119,23 @@ def issue_assignment(wtask: WTask, agent_id: str, at: int, reward_micros: int) -
     return record
 
 
-def record_return(wtask: WTask, agent_id: str, answer: str, at: int) -> AssignmentRecord:
-    """Register an agent's answer.
+def record_return(record: AssignmentRecord, answer: str) -> None:
+    """Register an on-time answer on a pending assignment.
 
-    A return after the completion deadline is converted to a timeout and the
-    answer discarded.  A done w-task says nothing about correctness; that is
-    the result-evaluation step's job.
+    A done w-task says nothing about correctness; that is the
+    result-evaluation step's job.
     """
-    record = wtask.pending_for(agent_id)
-    if record is None:
-        if any(a.agent_id == agent_id for a in wtask.assignments):
-            raise ValueError(
-                f"duplicate return: agent {agent_id} has no pending assignment on {wtask.microtask_id}"
-            )
-        raise ValueError(f"unknown agent {agent_id} for w-task {wtask.microtask_id}")
-    if at < record.issued_at:
-        raise ValueError(f"return at {at} precedes issue at {record.issued_at}")
-
-    if at > wtask.completion_deadline:
-        record.outcome = AssignmentOutcome.TIMED_OUT
-        return record
+    if record.outcome is not AssignmentOutcome.PENDING:
+        raise ValueError(
+            f"duplicate return: agent {record.agent_id}'s assignment is {record.outcome.value}"
+        )
     record.outcome = AssignmentOutcome.RETURNED
-    record.returned_at = at
     record.answer = answer
-    return record
 
 
 def expire_overdue(wtask: WTask, now: int) -> list[AssignmentRecord]:
-    """Time out every pending assignment if now is past the completion
-    deadline; returns the timed-out records so their rewards can be released.
-    """
+    """The pending assignments to time out if now is past the completion
+    deadline; the caller times each one out and releases its reward."""
     if now <= wtask.completion_deadline:
         return []
-    overdue = wtask.pending()
-    for record in overdue:
-        record.outcome = AssignmentOutcome.TIMED_OUT
-    return overdue
+    return wtask.pending()

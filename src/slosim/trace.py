@@ -305,23 +305,25 @@ class SummaryReducer:
             self._header, lambda r: (r["scenario"], r["seed"], _slo(r["task_slo"]))
         )
         end_time, spent, finish, events = _read(
-            self._run_end, lambda r: (r["time"], r["spent"], r["finish"], dict(r["events"]))
+            self._run_end,
+            lambda r: (_int(r["time"]), _int(r["spent"]), _int(r["finish"]), dict(r["events"])),
         )
         starts = {
-            node: _read(record, lambda r: (r["n"], _slo(r["slo"])))
+            node: _read(record, lambda r: (_int(r["n"]), _slo(r["slo"])))
             for node, record in self._node_start.items()
         }
         nodes = []
         for node in sorted(starts):
             n, slo = starts[node]
-            end = self._node_end.get(node, {})
+            end = self._node_end.get(node)
+            node_finish, spend = (end_time, 0) if end is None else _read(
+                end, lambda r: (_int(r["finish"]), _int(r["spend"]))
+            )
             agreed = self._results[node]["consensus"]
             disagreed = self._results[node]["no_consensus"]
             evaluated = agreed + disagreed
             incomplete = n - evaluated
             rate = agreed / evaluated if evaluated else 0.0
-            node_finish = end.get("finish", end_time)
-            spend = end.get("spend", 0)
             nodes.append(
                 NodeSummary(
                     node_id=node,
@@ -422,7 +424,18 @@ def _read(record: dict[str, Any], fields: Callable[[dict[str, Any]], tuple]) -> 
 
 def _slo(fields: dict[str, Any]) -> tuple[float, int, int]:
     """An SLO as recorded in a trace: (accuracy, budget_micros, deadline_ticks)."""
-    return fields["accuracy"], fields["budget_micros"], fields["deadline_ticks"]
+    accuracy = fields["accuracy"]
+    if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
+        raise TypeError(f"expected a number, got {accuracy!r}")
+    return accuracy, _int(fields["budget_micros"]), _int(fields["deadline_ticks"])
+
+
+def _int(value: Any) -> int:
+    """A count, tick or micros field; any other value raises TypeError, so a
+    mistyped field is reported before `result` does arithmetic with it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _verdicts(

@@ -207,6 +207,31 @@ def test_report_kept_record_lacking_a_field_is_config_error(scenario_file, tmp_p
     assert capsys.readouterr().err == f"error: bad trace record: {kind!r} record has no field {field!r}\n"
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("node_start", "n", "x"),
+        ("node_start", "slo", {"accuracy": "x", "budget_micros": 1, "deadline_ticks": 1}),
+        ("node_end", "spend", "x"),
+        ("run_end", "finish", None),
+        ("header", "task_slo", {"accuracy": 0.5, "budget_micros": 1.5, "deadline_ticks": 1}),
+    ],
+)
+def test_report_kept_record_with_a_mistyped_field_is_config_error(
+    scenario_file, tmp_path, capsys, kind, field, value
+):
+    trace, lines = _traced(scenario_file, tmp_path)
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    record = json.loads(lines[index])
+    record[field] = value
+    lines[index] = json.dumps(record) + "\n"
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad trace record: {kind!r} record has a field of the wrong type: ")
+
+
 def test_report_undecodable_line_is_config_error(scenario_file, tmp_path, capsys, codec):
     trace, lines = _traced(scenario_file, tmp_path)
     data = [line.encode("utf-8") for line in lines]

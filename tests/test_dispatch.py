@@ -22,15 +22,23 @@ def _node() -> WorkflowNode:
     return WorkflowNode(id="n", label="n", agent_tag=AgentTag.HUMAN_ONLY, microtask_count=1)
 
 
-def _engine(*, budget: float = 5.0, window: float | None = None) -> ExecutionEngine:
-    """A one-node, human-only engine with no arrivals scheduled: callers
-    admit the idle workers they want and activate the node themselves."""
+def _engine(
+    *,
+    budget: float = 5.0,
+    window: float | None = None,
+    w: int = 3,
+    service: float = 0.5,
+    reject=None,
+) -> ExecutionEngine:
+    """A one-node, one-microtask, human-only engine with no arrivals
+    scheduled: callers admit the idle workers they want and activate the
+    node themselves.  Workers always stay after a return."""
     slo = SloSpec(accuracy_target=0.5, budget=budget, deadline=100.0)
     pool = AgentPool(
         workers=(
             WorkerClass(
                 name="w", accuracy=0.9, arrival_rate=0.1,
-                service_time=ServiceTime(family="fixed", value=0.5), retention=1.0,
+                service_time=ServiceTime(family="fixed", value=service), retention=1.0,
             ),
         ),
         machines=(),
@@ -39,10 +47,11 @@ def _engine(*, budget: float = 5.0, window: float | None = None) -> ExecutionEng
         name="dispatch",
         graph=WorkflowGraph(nodes=(_node(),), edges=frozenset(), task_slo=slo),
         node_domains={"n": ("yes", "no")},
-        config=ControllerConfig(replication_w=3, assignment_window=window),
+        config=ControllerConfig(replication_w=w, assignment_window=window),
         pool=pool,
         sim=Simulation(seed=1, horizon=slo.deadline_ticks),
         writer=TraceWriter(None),
+        reject=reject,
     )
 
 

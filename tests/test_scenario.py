@@ -51,6 +51,59 @@ def test_unknown_controller_field_flagged(scenario_dict):
     assert any("controller.turbo" in p for p in exc.value.problems)
 
 
+def _with_script(raw):
+    raw["script"] = [{"at": 1, "action": "set_arrival_rate", "worker_class": "crowd", "rate": 0.0}]
+    return raw
+
+
+def _with_node_slo(raw):
+    raw["workflow"]["nodes"][0]["slo"] = {"accuracy_target": 0.6, "budget": 1.0, "deadline": 100}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "section, prepare",
+    [
+        ("", None),
+        ("slo", None),
+        ("controller", None),
+        ("workers[0]", None),
+        ("machines[0]", None),
+        ("workflow", None),
+        ("workflow.nodes[0]", None),
+        ("workflow.nodes[0].slo", _with_node_slo),
+        ("script[0]", _with_script),
+    ],
+)
+def test_unknown_key_flagged_in_every_section(scenario_dict, section, prepare):
+    raw = scenario_dict()
+    if prepare is not None:
+        prepare(raw)
+    target = raw
+    for part in section.replace("[", ".").replace("]", "").split(".") if section else ():
+        target = target[int(part)] if part.isdigit() else target[part]
+    target["retension"] = 0.9
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    where = f"{section}.retension" if section else "retension"
+    assert exc.value.problems == [f"{where}: unknown field"]
+
+
+def test_worker_typo_in_shipped_scenario_is_rejected(scenarios_dir):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(scenarios_dir / "minimal.yaml", overrides=["workers.0.retension=0.9"])
+    assert exc.value.problems == ["workers[0].retension: unknown field"]
+
+
+@pytest.mark.parametrize("capacity", [2.5, "2", True, None])
+def test_machine_capacity_must_be_an_integer(scenario_dict, capacity):
+    raw = scenario_dict()
+    raw["machines"][0]["capacity"] = capacity
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.problems[0] == f"machines[0].capacity: must be an integer, got {capacity!r}"
+
+
 def test_bad_agent_tag_flagged(scenario_dict):
     raw = scenario_dict()
     raw["workflow"]["nodes"][0]["agent_tag"] = "cyborg"
