@@ -33,7 +33,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 from .sim import SimEvent, Simulation, seeded_rng
 from .slo import SloSpec
 from .tasks import (
-    AssignmentOutcome,
     AssignmentRecord,
     Microtask,
     Route,
@@ -70,7 +69,6 @@ __all__ = [
     "Action",
     "AgentPool",
     "AgentTag",
-    "AssignmentOutcome",
     "AssignmentRecord",
     "BudgetLedger",
     "ConsensusResult",

@@ -99,7 +99,12 @@ class ControllerState:
     incentive_multiplier: float = 1.0
 
     def current_reward_micros(self, base_reward_micros: int) -> int:
-        return int(math.floor(base_reward_micros * self.incentive_multiplier + 0.5))
+        return _scaled_reward_micros(base_reward_micros, self.incentive_multiplier)
+
+
+def _scaled_reward_micros(base_reward_micros: int, multiplier: float) -> int:
+    """The reward at an incentive multiplier, rounded half-up to a micro."""
+    return int(math.floor(base_reward_micros * multiplier + 0.5))
 
 
 class BudgetLedger:
@@ -125,7 +130,7 @@ class BudgetLedger:
         """Reserve the reward if it fits; False means refusal, no change."""
         if reward_micros < 0:
             raise ValueError(f"reward must be >= 0: {reward_micros}")
-        if self.spent_micros + self.committed_micros + reward_micros > self.budget_micros:
+        if reward_micros > self.headroom_micros:
             return False
         self.committed_micros += reward_micros
         return True
@@ -253,9 +258,8 @@ def plan_corrective_actions(
         actions.append(Action("reassign", "timeout", {"slots": timed_out_slots}))
 
     if RiskFlag.TIME_RISK in risks:
-        base = config.reward_micros
         raised = state.incentive_multiplier * config.incentive_step
-        raised_reward = int(math.floor(base * raised + 0.5))
+        raised_reward = _scaled_reward_micros(config.reward_micros, raised)
         if ledger.headroom_micros >= raised_reward:
             actions.append(
                 Action(

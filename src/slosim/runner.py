@@ -31,7 +31,6 @@ from .scenario import Scenario, controller_to_dict
 from .sim import EmptyQueue, HorizonExceeded, SimEvent, Simulation
 from .slo import SloSpec
 from .tasks import (
-    AssignmentOutcome,
     AssignmentRecord,
     Microtask,
     Route,
@@ -84,7 +83,6 @@ class _NodeRun:
         self.microtasks: dict[str, Microtask] = {}
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
-        self.open_set: set[str] = set()  # the members of open_wtasks
         self.results: dict[str, ConsensusResult] = {}
         self.final: set[str] = set()
         self.no_consensus_pending: set[str] = set()
@@ -93,28 +91,31 @@ class _NodeRun:
         self.timed_out_since_poll = 0
         self.poll_events: list[SimEvent] = []
         self.spend_micros = 0
-        self.finished = False
         self.finish_tick: int | None = None
+
+    @property
+    def finished(self) -> bool:
+        return self.finish_tick is not None
 
     @property
     def evaluated_count(self) -> int:
         return len(self.final)
 
     def reopen(self, microtask_id: str) -> None:
-        if microtask_id not in self.open_set:
-            self.open_set.add(microtask_id)
-            bisect.insort(self.open_wtasks, microtask_id)
+        i = bisect.bisect_left(self.open_wtasks, microtask_id)
+        if i == len(self.open_wtasks) or self.open_wtasks[i] != microtask_id:
+            self.open_wtasks.insert(i, microtask_id)
 
     def close(self, microtask_id: str) -> None:
-        if microtask_id in self.open_set:
-            self.open_set.remove(microtask_id)
-            del self.open_wtasks[bisect.bisect_left(self.open_wtasks, microtask_id)]
+        i = bisect.bisect_left(self.open_wtasks, microtask_id)
+        if i < len(self.open_wtasks) and self.open_wtasks[i] == microtask_id:
+            del self.open_wtasks[i]
 
     def unpicked_human_ids(self) -> list[str]:
         return [
             mt_id
             for mt_id in self.open_wtasks
-            if not self.wtasks[mt_id].assignments and mt_id not in self.final
+            if self.wtasks[mt_id].first_issued_at is None and mt_id not in self.final
         ]
 
     def check_conservation(self) -> None:
@@ -178,7 +179,6 @@ class ExecutionEngine:
         self.base_reward_micros = config.reward_micros
         self.min_reward_by_class = {w.name: w.min_reward_micros for w in pool.workers}
         self.runs: dict[str, _NodeRun] = {}
-        self.completed_nodes: set[str] = set()
         self._arrival_pending: dict[str, bool] = {}
         # keyed by profile name and in name order: dispatch takes the first free one
         self.stations = {
@@ -252,12 +252,15 @@ class ExecutionEngine:
         return self.writer.reducer.result()
 
     def _all_finished(self) -> bool:
-        return len(self.completed_nodes) == len(self.graph.nodes)
+        return len(self.runs) == len(self.graph.nodes) and all(
+            run.finished for run in self.runs.values()
+        )
 
     # -- node activation ------------------------------------------------------
 
     def _activate_ready(self) -> None:
-        for node_id in sorted(ready_nodes(self.graph, self.completed_nodes)):
+        completed = {node_id for node_id, run in self.runs.items() if run.finished}
+        for node_id in sorted(ready_nodes(self.graph, completed)):
             if node_id in self.runs:
                 continue
             self._activate_node(node_id)
@@ -417,7 +420,7 @@ class ExecutionEngine:
     def _issue(self, run: _NodeRun, mt_id: str, agent_id: str, reward: int) -> None:
         wtask = run.wtasks[mt_id]
         worker_class = self.pool.class_of(agent_id)
-        first_pickup = not wtask.assignments
+        first_pickup = wtask.first_issued_at is None
         issue_assignment(wtask, agent_id, self.sim.now, reward)
         self.pool.mark_busy(agent_id)
         if first_pickup and self.config.assignment_window is not None:
@@ -450,8 +453,7 @@ class ExecutionEngine:
         worker_class = self.pool.class_of(agent_id)
         wtask = run.wtasks.get(mt_id)
 
-        record = wtask.pending_for(agent_id) if wtask is not None else None
-        if record is None:
+        if wtask is None or agent_id not in wtask.pending:
             # assignment already timed out / node finalized; just free the worker
             self._release_worker(agent_id, worker_class)
             return
@@ -460,13 +462,15 @@ class ExecutionEngine:
         answer_rng = self.sim.rng(f"answers/{worker_class.name}")
         answer = answer_microtask(worker_class.accuracy, run.domain, truth, answer_rng)
 
-        rejected = self.reject is not None and self.reject(mt_id, agent_id, answer)
-        if rejected or self.sim.now > wtask.completion_deadline:
-            # late or rejected: discard, release the reservation, reopen the slot
-            self._time_out(run, mt_id, record, rejected)
+        # A return past the window never gets here: the window's sweep at
+        # completion_deadline + 1, or the node's last poll at its deadline,
+        # was queued before it and timed the assignment out.
+        if self.reject is not None and self.reject(mt_id, agent_id, answer):
+            # discard, release the reservation, reopen the slot
+            self._time_out(run, wtask, wtask.pending[agent_id], rejected=True)
             self._after_slot_freed(run, wtask, mt_id)
         else:
-            record_return(record, answer)
+            record = record_return(wtask, agent_id, answer)
             self.ledger.settle_return(record.reward_micros)
             run.spend_micros += record.reward_micros
             self._emit_ledger(
@@ -488,16 +492,16 @@ class ExecutionEngine:
         self._dispatch_machines()
 
     def _time_out(
-        self, run: _NodeRun, mt_id: str, record: AssignmentRecord, rejected: bool = False
+        self, run: _NodeRun, wtask: WTask, record: AssignmentRecord, rejected: bool = False
     ) -> None:
-        """Time out one assignment: release its reward and record why."""
-        record.outcome = AssignmentOutcome.TIMED_OUT
+        """Time out one assignment: drop it, release its reward and record why."""
+        del wtask.pending[record.agent_id]
         self.ledger.settle_timeout(record.reward_micros)
         run.timed_out_since_poll += 1
         self._emit_ledger(
             "assignment_timeout",
             node=run.node.id,
-            microtask=mt_id,
+            microtask=wtask.microtask_id,
             agent=record.agent_id,
             cls=self.pool.class_of(record.agent_id).name,
             reward=record.reward_micros,
@@ -535,14 +539,14 @@ class ExecutionEngine:
         if run.finished:
             return
         wtask = run.wtasks.get(mt_id)
-        if wtask is None or self.sim.now <= wtask.completion_deadline:
-            return
+        if wtask is None:
+            return  # rerouted to a machine
         # nothing reopens a w-task after its window, so it leaves the open
         # list here even when no assignment was pending
         run.close(mt_id)
         overdue = expire_overdue(wtask, self.sim.now)
         for record in overdue:
-            self._time_out(run, mt_id, record)
+            self._time_out(run, wtask, record)
         if overdue:
             self._after_slot_freed(run, wtask, mt_id)
             self._dispatch_workers()
@@ -626,11 +630,9 @@ class ExecutionEngine:
 
     def _on_machine_done(self, node_id: str, mt_id: str, profile_name: str, ticket: int) -> None:
         station = self.stations[profile_name]
-        station.in_flight.pop(ticket, None)
+        # _finalize_node cancels the done events of its node's machine work
+        del station.in_flight[ticket]
         run = self.runs[node_id]
-        if run.finished:
-            self._dispatch_machines()
-            return
         profile = station.profile
         microtask = run.microtasks[mt_id]
         answer_rng = self.sim.rng(f"answers/machine/{profile.name}")
@@ -778,13 +780,13 @@ class ExecutionEngine:
 
     def _finalize_node(self, run: _NodeRun) -> None:
         now = self.sim.now
-        run.finished = True
         run.finish_tick = now
 
         # kill outstanding human assignments; workers free themselves on return
         for mt_id in sorted(run.wtasks):
-            for record in run.wtasks[mt_id].pending():
-                self._time_out(run, mt_id, record)
+            wtask = run.wtasks[mt_id]
+            for record in list(wtask.pending.values()):
+                self._time_out(run, wtask, record)
 
         # cancel this node's machine work still in stations or queued
         for station in self.stations.values():
@@ -823,7 +825,6 @@ class ExecutionEngine:
             finish=now,
             spend=run.spend_micros,
         )
-        self.completed_nodes.add(run.node.id)
         self._activate_ready()
         self._dispatch_workers()
         self._dispatch_machines()

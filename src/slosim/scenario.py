@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,19 +27,22 @@ SCHEMA_VERSION = 1
 # and constructor are PyYAML's Python code either way, so values are equal.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
-
 # the keys each section may hold; any other key is reported as unknown
+CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
+SLO_FIELDS = tuple(f.name for f in fields(SloSpec))
+WORKER_FIELDS = tuple(f.name for f in fields(WorkerClass))
+MACHINE_FIELDS = tuple(f.name for f in fields(MachineAgentProfile))
 TOP_FIELDS = (
     "schema_version", "name", "seed", "time_unit", "slo", "controller",
     "workflow", "workers", "machines", "script",
 )
-SLO_FIELDS = ("accuracy_target", "budget", "deadline")
-WORKER_FIELDS = ("name", "accuracy", "arrival_rate", "service_time", "min_reward", "retention")
-MACHINE_FIELDS = ("name", "accuracy", "service_time_per_item", "cost_per_item", "capacity")
 WORKFLOW_FIELDS = ("nodes", "edges")
 NODE_FIELDS = ("id", "label", "agent_tag", "microtask_count", "answer_domain", "slo")
 SCRIPT_FIELDS = {"set_arrival_rate": ("at", "action", "worker_class", "rate")}  # by action
+
+# the controller fields that take an integer; annotations are strings
+# because controller.py postpones their evaluation
+CONTROLLER_INT_FIELDS = tuple(f.name for f in fields(ControllerConfig) if f.type == "int")
 
 
 class ScenarioError(ValueError):
@@ -177,7 +180,7 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
 
     name = _expect(raw, "name", str, problems) or "unnamed"
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         problems.append(f"seed: must be a non-negative integer, got {seed!r}")
         seed = 0
     time_unit = raw.get("time_unit", "minute")
@@ -239,6 +242,11 @@ def _unknown_keys(raw: dict[str, Any], known: tuple[str, ...], where: str, probl
         problems.append(f"{prefix}{key}: unknown field")
 
 
+def _is_int(value: Any) -> bool:
+    """True for an integer; a YAML boolean is a Python int but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(raw: dict[str, Any], key: str, cls: type, problems: list[str]) -> Any:
     value = raw.get(key)
     if not isinstance(value, cls):
@@ -268,6 +276,14 @@ def _parse_controller(raw: Any, problems: list[str]) -> ControllerConfig:
         problems.append("controller: must be a mapping")
         return ControllerConfig()
     _unknown_keys(raw, CONTROLLER_FIELDS, "controller", problems)
+    bad_ints = [
+        f"controller.{name}: must be an integer, got {raw[name]!r}"
+        for name in CONTROLLER_INT_FIELDS
+        if name in raw and not _is_int(raw[name])
+    ]
+    if bad_ints:
+        problems.extend(bad_ints)
+        return ControllerConfig()
     try:
         return ControllerConfig(**{k: v for k, v in raw.items() if k in CONTROLLER_FIELDS})
     except (TypeError, ValueError) as exc:
@@ -327,7 +343,7 @@ def _parse_machines(raw: Any, problems: list[str]) -> list[MachineAgentProfile]:
             continue
         _unknown_keys(entry, MACHINE_FIELDS, where, problems)
         capacity = entry.get("capacity", 1)
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
+        if not _is_int(capacity):
             problems.append(f"{where}.capacity: must be an integer, got {capacity!r}")
             continue
         try:
@@ -379,7 +395,7 @@ def _parse_workflow(
             )
             continue
         count = entry.get("microtask_count")
-        if not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             problems.append(f"{where}.microtask_count: must be an integer >= 1, got {count!r}")
             continue
         domain_raw = entry.get("answer_domain")
@@ -476,41 +492,15 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
             "answer_domain": list(scenario.node_domains[node.id]),
         }
         if node.node_slo is not None:
-            entry["slo"] = {
-                "accuracy_target": node.node_slo.accuracy_target,
-                "budget": node.node_slo.budget,
-                "deadline": node.node_slo.deadline,
-            }
+            entry["slo"] = asdict(node.node_slo)
         nodes.append(entry)
 
     workers = []
     for worker in scenario.workers:
-        service: dict[str, Any] = {"family": worker.service_time.family}
-        for key in ("median", "sigma", "mean", "value"):
-            value = getattr(worker.service_time, key)
-            if value is not None:
-                service[key] = value
-        workers.append(
-            {
-                "name": worker.name,
-                "accuracy": worker.accuracy,
-                "arrival_rate": worker.arrival_rate,
-                "service_time": service,
-                "min_reward": worker.min_reward,
-                "retention": worker.retention,
-            }
-        )
-
-    machines = [
-        {
-            "name": m.name,
-            "accuracy": m.accuracy,
-            "service_time_per_item": m.service_time_per_item,
-            "cost_per_item": m.cost_per_item,
-            "capacity": m.capacity,
-        }
-        for m in scenario.machines
-    ]
+        entry = asdict(worker)
+        # a family's unused parameters are absent, not null
+        entry["service_time"] = {k: v for k, v in entry["service_time"].items() if v is not None}
+        workers.append(entry)
 
     controller = controller_to_dict(scenario.controller)
     if controller["assignment_window"] is None:
@@ -522,18 +512,14 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "name": scenario.name,
         "seed": scenario.seed,
         "time_unit": scenario.time_unit,
-        "slo": {
-            "accuracy_target": scenario.slo.accuracy_target,
-            "budget": scenario.slo.budget,
-            "deadline": scenario.slo.deadline,
-        },
+        "slo": asdict(scenario.slo),
         "controller": controller,
         "workflow": {
             "nodes": nodes,
             "edges": sorted([list(edge) for edge in scenario.graph.edges]),
         },
         "workers": workers,
-        "machines": machines,
+        "machines": [asdict(m) for m in scenario.machines],
     }
     if scenario.script:
         raw["script"] = [

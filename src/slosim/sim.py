@@ -72,7 +72,6 @@ class Simulation:
         self._queue: list[tuple[int, int, SimEvent]] = []
         self._sequence = 0
         self._streams: dict[str, np.random.Generator] = {}
-        self.scheduled_count = 0
         self.fired_count = 0
         self.cancelled_count = 0
 
@@ -93,7 +92,6 @@ class Simulation:
             raise ValueError(f"cannot schedule in the past: {fire_at} < now {self.now}")
         event = SimEvent(fire_at, self._sequence, handler, args)
         self._sequence += 1
-        self.scheduled_count += 1
         heapq.heappush(self._queue, (fire_at, event.sequence, event))
         return event
 
@@ -129,10 +127,11 @@ class Simulation:
         return event
 
     def end_report(self) -> dict[str, int]:
-        """Event conservation counters at termination."""
-        unfired = self.scheduled_count - self.fired_count - self.cancelled_count
+        """Event conservation counters at termination; every scheduled event
+        took one sequence number."""
+        unfired = self._sequence - self.fired_count - self.cancelled_count
         return {
-            "scheduled": self.scheduled_count,
+            "scheduled": self._sequence,
             "fired": self.fired_count,
             "cancelled": self.cancelled_count,
             "unfired": unfired,

@@ -2,12 +2,14 @@
 
 A microtask carries its ground truth and its route.  A human-routed
 microtask is posted as a w-task: a bundle of `want_votes` parallel
-assignment slots, filled as workers become available.  The engine decides
-whether a returned answer is on time: `record_return` registers an on-time
-answer, and a late, rejected or overdue assignment is timed out by the
-engine, which frees its slot for reassignment.  The w-task is done once
-every wanted vote has been returned and nothing is pending.  A machine-routed
-microtask collects its votes on the microtask itself.
+assignment slots, filled as workers become available.  A w-task is its
+pending assignments and its answers, each keyed by agent: an issued
+assignment is pending until `record_return` moves it to the answers, or the
+engine times it out (a late, rejected or overdue assignment), which deletes
+it and so frees its slot for reassignment.  The trace keeps the timeout;
+the w-task keeps nothing of it.  The w-task is done once every wanted vote
+has been answered and nothing is pending.  A machine-routed microtask
+collects its votes on the microtask itself.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ from enum import Enum
 class Route(Enum):
     HUMAN = "human"
     MACHINE = "machine"
-
-
-class AssignmentOutcome(Enum):
-    PENDING = "pending"
-    RETURNED = "returned"
-    TIMED_OUT = "timed_out"
 
 
 @dataclass
@@ -41,8 +37,6 @@ class AssignmentRecord:
     agent_id: str
     issued_at: int
     reward_micros: int
-    answer: str | None = None
-    outcome: AssignmentOutcome = AssignmentOutcome.PENDING
 
     def __post_init__(self) -> None:
         if self.reward_micros < 0:
@@ -54,48 +48,32 @@ class WTask:
     microtask_id: str
     want_votes: int  # the replication plus escalation extras
     completion_deadline: int
-    assignments: list[AssignmentRecord] = field(default_factory=list)
-
-    # -- derived counts -----------------------------------------------------
-
-    def returned(self) -> list[AssignmentRecord]:
-        return [a for a in self.assignments if a.outcome is AssignmentOutcome.RETURNED]
-
-    def pending(self) -> list[AssignmentRecord]:
-        return [a for a in self.assignments if a.outcome is AssignmentOutcome.PENDING]
+    pending: dict[str, AssignmentRecord] = field(default_factory=dict)  # by agent, issue order
+    answers: dict[str, str] = field(default_factory=dict)  # by agent, return order
+    first_issued_at: int | None = None  # when the first assignment was issued
 
     @property
     def open_slots(self) -> int:
-        return self.want_votes - len(self.returned()) - len(self.pending())
+        return self.want_votes - len(self.answers) - len(self.pending)
 
     @property
     def done(self) -> bool:
-        return self.open_slots == 0 and not self.pending()
+        return self.open_slots == 0 and not self.pending
 
     def votes(self) -> list[str]:
-        return [a.answer for a in self.returned()]
-
-    def pending_for(self, agent_id: str) -> AssignmentRecord | None:
-        """The agent's pending assignment on this w-task, if it holds one."""
-        for a in self.assignments:
-            if a.agent_id == agent_id and a.outcome is AssignmentOutcome.PENDING:
-                return a
-        return None
+        return list(self.answers.values())
 
     def has_live_assignment_for(self, agent_id: str) -> bool:
-        """True if the agent already holds a pending or returned assignment.
+        """True if the agent holds a pending assignment or has answered.
 
-        Timed-out attempts do not count: a worker may retry after a timeout,
-        but never contributes two live answers to the same w-task.
+        A timed-out attempt is gone, so a worker may retry after a timeout,
+        but never contributes two answers to the same w-task.
         """
-        return any(
-            a.agent_id == agent_id and a.outcome is not AssignmentOutcome.TIMED_OUT
-            for a in self.assignments
-        )
+        return agent_id in self.pending or agent_id in self.answers
 
     def drop_unfilled_slots(self) -> None:
         """Stop wanting more votes than are issued; used at finalization."""
-        self.want_votes = len(self.returned()) + len(self.pending())
+        self.want_votes = len(self.answers) + len(self.pending)
 
 
 def spawn_wtask(microtask: Microtask, w: int, completion_deadline: int) -> WTask:
@@ -112,25 +90,28 @@ def issue_assignment(wtask: WTask, agent_id: str, at: int, reward_micros: int) -
     """Fill one open slot with a pending assignment for agent_id."""
     if wtask.open_slots <= 0:
         raise ValueError(f"w-task {wtask.microtask_id} has no open slots")
-    if wtask.pending_for(agent_id) is not None:
-        raise ValueError(f"agent {agent_id} already has a pending assignment on {wtask.microtask_id}")
+    if agent_id in wtask.pending or agent_id in wtask.answers:
+        raise ValueError(f"agent {agent_id} already holds an assignment on {wtask.microtask_id}")
     record = AssignmentRecord(agent_id=agent_id, issued_at=at, reward_micros=reward_micros)
-    wtask.assignments.append(record)
+    wtask.pending[agent_id] = record
+    if wtask.first_issued_at is None:
+        wtask.first_issued_at = at
     return record
 
 
-def record_return(record: AssignmentRecord, answer: str) -> None:
-    """Register an on-time answer on a pending assignment.
+def record_return(wtask: WTask, agent_id: str, answer: str) -> AssignmentRecord:
+    """Move the agent's pending assignment to the answers; return its record.
 
     A done w-task says nothing about correctness; that is the
     result-evaluation step's job.
     """
-    if record.outcome is not AssignmentOutcome.PENDING:
+    record = wtask.pending.pop(agent_id, None)
+    if record is None:
         raise ValueError(
-            f"duplicate return: agent {record.agent_id}'s assignment is {record.outcome.value}"
+            f"duplicate return: agent {agent_id} holds no pending assignment on {wtask.microtask_id}"
         )
-    record.outcome = AssignmentOutcome.RETURNED
-    record.answer = answer
+    wtask.answers[agent_id] = answer
+    return record
 
 
 def expire_overdue(wtask: WTask, now: int) -> list[AssignmentRecord]:
@@ -138,4 +119,4 @@ def expire_overdue(wtask: WTask, now: int) -> list[AssignmentRecord]:
     deadline; the caller times each one out and releases its reward."""
     if now <= wtask.completion_deadline:
         return []
-    return wtask.pending()
+    return list(wtask.pending.values())

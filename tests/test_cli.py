@@ -27,6 +27,25 @@ def test_validate_bad_scenario(tmp_path, scenario_dict, capsys):
     assert "invalid:" in capsys.readouterr().out
 
 
+def test_boolean_microtask_count_is_invalid(tmp_path, scenario_dict, capsys):
+    raw = scenario_dict()
+    raw["workflow"]["nodes"][0]["microtask_count"] = True
+    path = tmp_path / "bool.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert "microtask_count: must be an integer >= 1, got True" in capsys.readouterr().out
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("override", ["seed=true", "controller.polling_intervals=2.5"])
+def test_non_integer_override_is_config_error(scenario_file, tmp_path, capsys, override):
+    out = tmp_path / "o"
+    assert main(["run", str(scenario_file), "--out", str(out), "--set", override]) == 2
+    assert "integer, got" in capsys.readouterr().err
+    assert not (out / "trace.jsonl").exists()
+
+
 def test_missing_file_is_config_error(capsys):
     assert main(["run", "/no/such/file.yaml"]) == 2
     assert "error:" in capsys.readouterr().err

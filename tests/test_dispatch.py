@@ -75,7 +75,6 @@ def test_open_list_stays_sorted_unique_and_equal_to_its_set(ops):
             run_.close(mt_id)
             model.discard(mt_id)
         assert run_.open_wtasks == sorted(model)
-        assert run_.open_set == model
 
 
 def test_windowed_wtask_with_nothing_pending_leaves_open_list_at_its_sweep():
@@ -84,7 +83,7 @@ def test_windowed_wtask_with_nothing_pending_leaves_open_list_at_its_sweep():
     engine._activate_node("n")
     node_run = engine.runs["n"]
     wtask = node_run.wtasks["n:00000"]
-    assert [a.agent_id for a in wtask.assignments] == [agent]
+    assert list(wtask.pending) == [agent]
     assert node_run.open_wtasks == ["n:00000"]  # two of three slots still open
 
     while True:
@@ -93,10 +92,10 @@ def test_windowed_wtask_with_nothing_pending_leaves_open_list_at_its_sweep():
         if event.handler is ExecutionEngine._on_timeout_sweep:
             break
     assert engine.sim.now == wtask.completion_deadline + 1
-    assert not wtask.pending()  # the one worker returned inside the window
+    assert not wtask.pending  # the one worker returned inside the window
+    assert list(wtask.answers) == [agent]
     assert wtask.open_slots == 2
     assert node_run.open_wtasks == []
-    assert node_run.open_set == set()
 
 
 def test_check_conservation_raises_on_a_lost_microtask():

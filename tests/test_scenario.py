@@ -104,6 +104,40 @@ def test_machine_capacity_must_be_an_integer(scenario_dict, capacity):
     assert exc.value.problems[0] == f"machines[0].capacity: must be an integer, got {capacity!r}"
 
 
+def test_controller_integer_fields_are_the_int_annotated_ones():
+    assert scenario_module.CONTROLLER_INT_FIELDS == (
+        "polling_intervals", "replication_w", "machine_replication",
+    )
+
+
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ("seed=true", "seed: must be a non-negative integer, got True"),
+        (
+            "workflow.nodes.0.microtask_count=true",
+            "workflow.nodes[0].microtask_count: must be an integer >= 1, got True",
+        ),
+        ("controller.replication_w=true", "controller.replication_w: must be an integer, got True"),
+        ("controller.polling_intervals=true", "controller.polling_intervals: must be an integer, got True"),
+        (
+            "controller.machine_replication=true",
+            "controller.machine_replication: must be an integer, got True",
+        ),
+        ("controller.polling_intervals=2.5", "controller.polling_intervals: must be an integer, got 2.5"),
+        (
+            "controller.machine_replication=1.5",
+            "controller.machine_replication: must be an integer, got 1.5",
+        ),
+    ],
+)
+def test_integer_fields_reject_booleans_and_floats(scenario_dict, override, problem):
+    raw = apply_overrides(scenario_dict(), [override])
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.problems == [problem]
+
+
 def test_bad_agent_tag_flagged(scenario_dict):
     raw = scenario_dict()
     raw["workflow"]["nodes"][0]["agent_tag"] = "cyborg"

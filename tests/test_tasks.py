@@ -1,6 +1,9 @@
-"""Microtasks and w-tasks: the slot bookkeeping in `slosim.tasks`, and the
-assignment outcomes the engine decides (a late or rejected answer becomes a
-timeout, a timed-out worker may retry, escalation adds a slot)."""
+"""Microtasks and w-tasks: the slot bookkeeping in `slosim.tasks` (a w-task
+is its pending assignments and its answers, each keyed by agent), and the
+outcomes the engine decides (a rejected answer becomes a timeout, a
+timed-out worker may retry, escalation adds a slot).  That no answer is
+accepted after its window is checked on whole traces in
+`test_trace_invariants`."""
 
 import pytest
 
@@ -10,7 +13,6 @@ from slosim.runner import ExecutionEngine, run_node
 from slosim.sim import Simulation
 from slosim.slo import SloSpec
 from slosim.tasks import (
-    AssignmentOutcome,
     Microtask,
     Route,
     expire_overdue,
@@ -50,7 +52,8 @@ def _kinds(engine: ExecutionEngine, *kinds: str) -> list[dict]:
 def test_spawn_expects_w_assignments(w):
     wtask = spawn_wtask(microtask(), w, 100)
     assert not wtask.done
-    assert wtask.assignments == []
+    assert wtask.pending == {} and wtask.answers == {}
+    assert wtask.first_issued_at is None
     assert wtask.want_votes == wtask.open_slots == w
     assert wtask.completion_deadline == 100
 
@@ -70,39 +73,36 @@ def test_spawn_rejects_zero_replication():
 
 def test_third_return_flips_done():
     wtask = spawned()
-    records = [issue_assignment(wtask, agent, 10, 20_000) for agent in ("w1", "w2", "w3")]
-    record_return(records[0], "a")
-    record_return(records[1], "a")
+    for agent in ("w1", "w2", "w3"):
+        issue_assignment(wtask, agent, 10, 20_000)
+    record_return(wtask, "w1", "a")
+    record_return(wtask, "w2", "a")
     assert not wtask.done
-    record_return(records[2], "b")
+    record_return(wtask, "w3", "b")
     assert wtask.done
     assert wtask.votes() == ["a", "a", "b"]
 
 
-def test_late_return_becomes_timeout_and_discards_answer():
-    engine = _engine(w=1)
-    agent = engine.pool.admit("w")
-    engine._activate_node("n")
-    wtask = engine.runs["n"].wtasks["n:00000"]
-    [record] = wtask.assignments
-    # the window closes one tick before the answer comes back
-    wtask.completion_deadline = engine.sim.peek_time() - 1
-    _step_until(engine, ExecutionEngine._on_return)
-    assert record.outcome is AssignmentOutcome.TIMED_OUT
-    assert record.answer is None
-    assert wtask.votes() == []
-    assert not _kinds(engine, "assignment_returned")
-    [timeout] = _kinds(engine, "assignment_timeout")
-    assert (timeout["agent"], timeout["rejected"]) == (agent, False)
-    assert engine.ledger.committed_micros == engine.ledger.spent_micros == 0
+def test_return_moves_the_record_from_pending_to_answers_in_return_order():
+    wtask = spawned()
+    issued = {
+        agent: issue_assignment(wtask, agent, at, 20_000) for agent, at in (("w1", 10), ("w2", 12))
+    }
+    assert list(wtask.pending) == ["w1", "w2"]
+    assert record_return(wtask, "w2", "b") is issued["w2"]
+    assert list(wtask.pending) == ["w1"] and wtask.answers == {"w2": "b"}
+    record_return(wtask, "w1", "a")
+    assert wtask.pending == {}
+    assert wtask.votes() == ["b", "a"]  # return order, not issue order
+    assert wtask.first_issued_at == 10
 
 
 def test_duplicate_return_rejected():
     wtask = spawned(w=2)
-    record = issue_assignment(wtask, "w1", 10, 20_000)
-    record_return(record, "a")
+    issue_assignment(wtask, "w1", 10, 20_000)
+    record_return(wtask, "w1", "a")
     with pytest.raises(ValueError, match="duplicate"):
-        record_return(record, "a")
+        record_return(wtask, "w1", "a")
     assert wtask.votes() == ["a"]
 
 
@@ -120,27 +120,30 @@ def test_expire_before_deadline_no_change():
     wtask = spawned(w=1, completion_deadline=500)
     issue_assignment(wtask, "w1", 10, 20_000)
     assert expire_overdue(wtask, 499) == []
-    assert len(wtask.pending()) == 1
+    assert len(wtask.pending) == 1
 
 
 def test_expire_ignores_returned_work():
     wtask = spawned(w=2, completion_deadline=500)
-    record_return(issue_assignment(wtask, "w1", 10, 20_000), "a")
-    record_return(issue_assignment(wtask, "w2", 10, 20_000), "b")
+    for agent, answer in (("w1", "a"), ("w2", "b")):
+        issue_assignment(wtask, agent, 10, 20_000)
+        record_return(wtask, agent, answer)
     assert expire_overdue(wtask, 10_000) == []
 
 
 def test_pending_for_finds_only_the_pending_record():
     wtask = spawned(w=2)
     first = issue_assignment(wtask, "w1", 10, 20_000)
-    assert wtask.pending_for("w1") is first
-    assert wtask.pending_for("w2") is None
-    first.outcome = AssignmentOutcome.TIMED_OUT
-    assert wtask.pending_for("w1") is None
+    assert wtask.pending.get("w1") is first
+    assert wtask.pending.get("w2") is None
+    del wtask.pending["w1"]  # what the engine does on a timeout
+    assert wtask.pending.get("w1") is None
+    assert not wtask.has_live_assignment_for("w1") and wtask.open_slots == 2
     retry = issue_assignment(wtask, "w1", 102, 20_000)
-    assert wtask.pending_for("w1") is retry
-    record_return(retry, "a")
-    assert wtask.pending_for("w1") is None
+    assert wtask.pending.get("w1") is retry
+    assert wtask.first_issued_at == 10  # the first issue, not the retry
+    record_return(wtask, "w1", "a")
+    assert wtask.pending.get("w1") is None
 
 
 # -- slot bookkeeping ---------------------------------------------------------------
@@ -152,6 +155,10 @@ def test_no_concurrent_duplicate_agent():
     assert wtask.has_live_assignment_for("w1")
     with pytest.raises(ValueError):
         issue_assignment(wtask, "w1", 11, 20_000)
+    record_return(wtask, "w1", "a")
+    assert wtask.has_live_assignment_for("w1")
+    with pytest.raises(ValueError, match="already holds"):
+        issue_assignment(wtask, "w1", 12, 20_000)
 
 
 def test_agent_may_retry_after_timeout():
@@ -168,10 +175,9 @@ def test_agent_may_retry_after_timeout():
     engine._activate_node("n")
     _step_until(engine, ExecutionEngine._on_return)
     wtask = engine.runs["n"].wtasks["n:00000"]
-    assert [a.outcome for a in wtask.assignments] == [
-        AssignmentOutcome.TIMED_OUT, AssignmentOutcome.PENDING,
-    ]
-    assert [a.agent_id for a in wtask.assignments] == [agent, agent]
+    # the rejected attempt is gone; the retry is the one pending record
+    assert list(wtask.pending) == [agent] and wtask.answers == {}
+    assert wtask.pending[agent].issued_at == engine.sim.now > wtask.first_issued_at
     _step_until(engine, ExecutionEngine._on_return)
     assert wtask.done and len(wtask.votes()) == 1
     kinds = [r["kind"] for r in _kinds(
@@ -196,18 +202,19 @@ def test_timeout_frees_slot_and_escalation_adds_one():
     assert node_run.open_wtasks == ["n:00000"]
     assert _kinds(engine, "escalated")[0]["want_votes"] == 4
     _step_until(engine, ExecutionEngine._on_timeout_sweep)  # the window closes
-    assert [a.outcome for a in wtask.assignments] == [AssignmentOutcome.TIMED_OUT] * 3
+    assert wtask.pending == {} and wtask.answers == {}
     assert wtask.open_slots == 4
     assert len(_kinds(engine, "assignment_timeout")) == 3
 
 
 def test_reward_total_bounded_by_wanted_votes():
     wtask = spawned(w=3, completion_deadline=1_000)
+    paid = 0
     for agent in ("w1", "w2", "w3"):
-        record_return(issue_assignment(wtask, agent, 10, 20_000), "a")
+        issue_assignment(wtask, agent, 10, 20_000)
+        paid += record_return(wtask, agent, "a").reward_micros
     with pytest.raises(ValueError, match="no open slots"):
         issue_assignment(wtask, "w4", 30, 20_000)
-    paid = sum(a.reward_micros for a in wtask.returned())
     assert paid <= wtask.want_votes * 20_000
     assert wtask.done
 

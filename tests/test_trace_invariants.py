@@ -1,7 +1,10 @@
 """Lifecycle guarantees read off whole traces: each microtask is decided at
-most once, each issued assignment is settled exactly once, and no microtask
-collects more human votes than it wants.  They run over the shipped
-scenarios and the pinned C05 assignment_window scenario."""
+most once, each issued assignment is settled exactly once, no microtask
+collects more human votes than it wants, no answer is accepted after its
+w-task's window, and no machine finishes work for a node that has ended.
+They run over the shipped scenarios, the pinned C05 assignment_window
+scenario, and pipeline with slow machines, whose first node ends at its
+deadline with machine work in flight."""
 
 import functools
 
@@ -10,12 +13,14 @@ import pytest
 
 from slosim.runner import run
 from slosim.scenario import load_scenario, scenario_from_dict
+from slosim.units import to_ticks
 
 from conftest import SCENARIOS_DIR
 from test_acceptance import _random_budget_scenario
 from test_golden_traces import C05_INDEX, SHIPPED
 
-RUNS = sorted(SHIPPED) + ["c05"]
+SLOW_MACHINES = ["machines.0.service_time_per_item=100", "machines.1.service_time_per_item=100"]
+RUNS = sorted(SHIPPED) + ["c05", "pipeline_slow_machines"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -24,6 +29,8 @@ def _records(name: str) -> tuple[dict, ...]:
         rng = np.random.default_rng(424242)
         raws = [_random_budget_scenario(rng) for _ in range(C05_INDEX + 1)]
         scenario = scenario_from_dict(raws[C05_INDEX])
+    elif name == "pipeline_slow_machines":
+        scenario = load_scenario(SCENARIOS_DIR / "pipeline.yaml", SLOW_MACHINES)
     else:
         scenario = load_scenario(SCENARIOS_DIR / f"{name}.yaml")
     return tuple(run(scenario).records)
@@ -100,3 +107,41 @@ def test_paid_votes_stay_within_the_wanted_votes(name):
             assert len(returned[microtask]) <= want[microtask]
     for microtask, paid in returned.items():
         assert sum(paid) <= want[microtask] * max(rewards[microtask])
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_no_answer_is_accepted_after_its_window(name):
+    # The window ends at the node deadline or, with an assignment_window,
+    # that long after the w-task's first issue if that comes sooner.  The
+    # engine has no late-answer branch: the window's sweep, or the node's
+    # last poll, times a pending assignment out before its return fires.
+    window = None
+    deadline: dict[str, int] = {}  # node -> deadline
+    window_end: dict[str, int] = {}  # microtask -> last tick an answer is accepted
+    returned = 0
+    for record in _records(name):
+        kind = record["kind"]
+        if kind == "header":
+            window = record["config"]["assignment_window"]
+        elif kind == "node_start":
+            deadline[record["node"]] = record["deadline"]
+        elif kind == "assignment_issued" and record["microtask"] not in window_end:
+            end = deadline[record["node"]]
+            if window is not None:
+                end = min(end, record["time"] + to_ticks(window))
+            window_end[record["microtask"]] = end
+        elif kind == "assignment_returned":
+            assert record["time"] <= window_end[record["microtask"]], record
+            returned += 1
+    assert returned
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_no_machine_work_finishes_after_its_node_ended(name):
+    # _finalize_node cancels the done events of its node's machine work
+    ended: set[str] = set()
+    for record in _records(name):
+        if record["kind"] == "node_end":
+            ended.add(record["node"])
+        elif record["kind"] == "machine_done":
+            assert record["node"] not in ended, record
