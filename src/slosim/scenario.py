@@ -8,11 +8,13 @@ path; loading never partially succeeds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import yaml
 
@@ -27,11 +29,8 @@ SCHEMA_VERSION = 1
 # and constructor are PyYAML's Python code either way, so values are equal.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# the keys each section may hold; any other key is reported as unknown
-CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
-SLO_FIELDS = tuple(f.name for f in fields(SloSpec))
-WORKER_FIELDS = tuple(f.name for f in fields(WorkerClass))
-MACHINE_FIELDS = tuple(f.name for f in fields(MachineAgentProfile))
+# the keys of the sections that no dataclass declares; a dataclass section
+# takes its field names.  Any other key is reported as unknown.
 TOP_FIELDS = (
     "schema_version", "name", "seed", "time_unit", "slo", "controller",
     "workflow", "workers", "machines", "script",
@@ -39,10 +38,16 @@ TOP_FIELDS = (
 WORKFLOW_FIELDS = ("nodes", "edges")
 NODE_FIELDS = ("id", "label", "agent_tag", "microtask_count", "answer_domain", "slo")
 SCRIPT_FIELDS = {"set_arrival_rate": ("at", "action", "worker_class", "rate")}  # by action
+CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
 
-# the controller fields that take an integer; annotations are strings
-# because controller.py postpones their evaluation
-CONTROLLER_INT_FIELDS = tuple(f.name for f in fields(ControllerConfig) if f.type == "int")
+# the exact types a field of each annotation takes, and how a problem names it;
+# a float field also takes an int, stored as a float, and only bool takes a bool
+SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+}
 
 
 class ScenarioError(ValueError):
@@ -133,7 +138,7 @@ def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]
         cursor: Any = raw
         parts = dotted.split(".")
         for part in parts[:-1]:
-            cursor = _descend(cursor, part, dotted, create=True)
+            cursor = _descend(cursor, part, dotted)
         last = parts[-1]
         if isinstance(cursor, list):
             index = _list_index(cursor, last, dotted)
@@ -145,15 +150,12 @@ def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]
     return raw
 
 
-def _descend(cursor: Any, part: str, dotted: str, create: bool) -> Any:
+def _descend(cursor: Any, part: str, dotted: str) -> Any:
+    """The list item or mapping value at `part`; a missing key gets a mapping."""
     if isinstance(cursor, list):
         return cursor[_list_index(cursor, part, dotted)]
     if isinstance(cursor, dict):
-        if part not in cursor:
-            if not create:
-                raise ScenarioError([f"override path missing: {dotted}"])
-            cursor[part] = {}
-        return cursor[part]
+        return cursor.setdefault(part, {})
     raise ScenarioError([f"override path not addressable: {dotted}"])
 
 
@@ -178,9 +180,11 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     if version != SCHEMA_VERSION:
         problems.append(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    name = _expect(raw, "name", str, problems) or "unnamed"
+    name = raw.get("name")
+    if not _is(name, str):
+        problems.append(f"name: must be a string, got {name!r}")
     seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
+    if not _is(seed, int) or seed < 0:
         problems.append(f"seed: must be a non-negative integer, got {seed!r}")
         seed = 0
     time_unit = raw.get("time_unit", "minute")
@@ -188,22 +192,21 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         problems.append(f"time_unit: must be a non-empty string, got {time_unit!r}")
         time_unit = "minute"
 
-    slo = _parse_slo(raw.get("slo"), "slo", problems)
-    controller = _parse_controller(raw.get("controller", {}), problems)
-    workers = _parse_workers(raw.get("workers", []), problems)
-    machines = _parse_machines(raw.get("machines", []), problems)
+    slo = _section(SloSpec, raw.get("slo"), "slo", problems)
+    controller = _section(ControllerConfig, raw.get("controller", {}), "controller", problems)
+    workers = _sections(WorkerClass, raw.get("workers", []), "workers", problems)
+    machines = _sections(MachineAgentProfile, raw.get("machines", []), "machines", problems)
     graph, node_domains = _parse_workflow(raw.get("workflow"), slo, problems)
     script = _parse_script(raw.get("script", []), problems)
 
-    if graph is not None and slo is not None:
-        report = validate(graph)
-        for violation in report.violations:
+    if graph is not None:
+        for violation in validate(graph).violations:
             problems.append(f"workflow: {violation.kind}: {violation.detail}")
-        _check_references(graph, workers, machines, slo, problems)
-
+    if not problems:  # so a class that failed to read is not also reported missing
+        assert graph is not None
+        _check_references(graph, workers, machines, script, problems)
     if problems:
         raise ScenarioError(problems)
-    assert graph is not None
     return Scenario(
         name=name,
         seed=seed,
@@ -213,7 +216,7 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         workers=tuple(workers),
         machines=tuple(machines),
         controller=controller,
-        script=tuple(script),
+        script=tuple(sorted(script, key=lambda e: e.at)),
     )
 
 
@@ -221,144 +224,104 @@ def _check_references(
     graph: WorkflowGraph,
     workers: list[WorkerClass],
     machines: list[MachineAgentProfile],
-    slo: SloSpec,
+    script: list[ScriptEvent],
     problems: list[str],
 ) -> None:
+    deadline = graph.task_slo.deadline
     for node in graph.nodes:
         where = f"workflow.nodes[{node.id}]"
         if node.agent_tag in (AgentTag.HUMAN_ONLY, AgentTag.EITHER) and not workers:
             problems.append(f"{where}: tag {node.agent_tag.value} needs at least one worker class")
         if node.agent_tag in (AgentTag.MACHINE_ONLY, AgentTag.EITHER) and not machines:
             problems.append(f"{where}: tag {node.agent_tag.value} needs at least one machine profile")
-        if node.node_slo is not None and node.node_slo.deadline > slo.deadline:
+        if node.node_slo is not None and node.node_slo.deadline > deadline:
             problems.append(
-                f"{where}: node deadline {node.node_slo.deadline} exceeds task deadline {slo.deadline}"
+                f"{where}: node deadline {node.node_slo.deadline} exceeds task deadline {deadline}"
             )
+    classes = {w.name for w in workers}
+    for i, event in enumerate(script):
+        name = event.params.get("worker_class")
+        if name is not None and name not in classes:
+            problems.append(f"script[{i}].worker_class: {name!r} is not a declared worker class")
 
 
-def _unknown_keys(raw: dict[str, Any], known: tuple[str, ...], where: str, problems: list[str]) -> None:
+def _unknown_keys(raw: dict[str, Any], known: Iterable[str], where: str, problems: list[str]) -> None:
+    unknown = raw.keys() - known
     prefix = f"{where}." if where else ""
-    for key in sorted(set(raw) - set(known), key=str):
+    for key in sorted(unknown, key=str) if unknown else ():
         problems.append(f"{prefix}{key}: unknown field")
 
 
-def _is_int(value: Any) -> bool:
-    """True for an integer; a YAML boolean is a Python int but is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is(value: Any, annotation: type) -> bool:
+    """True when `value` has a type that a field of `annotation` takes."""
+    return type(value) in SCALARS[annotation][0]
 
 
-def _expect(raw: dict[str, Any], key: str, cls: type, problems: list[str]) -> Any:
-    value = raw.get(key)
-    if not isinstance(value, cls):
-        problems.append(f"{key}: expected {cls.__name__}, got {value!r}")
-        return None
-    return value
+@functools.cache
+def _field_spec(cls: type) -> tuple[dict[str, tuple[type, bool, tuple]], tuple[str, ...]]:
+    """Dataclass `cls`'s fields as name -> (type, optional, exact types taken),
+    the type being the annotation less any `| None`, and the names of those
+    without a default.  Raises TypeError on a type the reader cannot check.
+    """
+    hints = typing.get_type_hints(cls)
+    spec, required = {}, []
+    for f in fields(cls):
+        annotation = hints[f.name]
+        args = typing.get_args(annotation)
+        optional = type(None) in args
+        if optional and len(args) == 2:
+            annotation = args[args[0] is type(None)]
+        if annotation not in SCALARS and not is_dataclass(annotation):
+            raise TypeError(f"{cls.__name__}.{f.name}: no scenario reader for {hints[f.name]}")
+        spec[f.name] = (annotation, optional, SCALARS[annotation][0] if annotation in SCALARS else ())
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.append(f.name)
+    return spec, tuple(required)
 
 
-def _parse_slo(raw: Any, where: str, problems: list[str]) -> SloSpec | None:
+def _section(cls: type, raw: Any, where: str, problems: list[str]) -> Any:
+    """Dataclass `cls` read from the mapping `raw`, or None once its problems
+    are in `problems`.  The keys are the field names, a value must fit its
+    field's annotation by exact type, and a field left out takes its default
+    or, lacking one, is required.  The dataclass checks ranges itself.
+    """
     if not isinstance(raw, dict):
-        problems.append(f"{where}: missing or not a mapping")
+        problems.append(f"{where}: must be a mapping, got {raw!r}")
         return None
-    _unknown_keys(raw, SLO_FIELDS, where, problems)
+    spec, required = _field_spec(cls)
+    _unknown_keys(raw, spec, where, problems)
+    found = len(problems)
+    problems.extend(f"{where}.{name}: required" for name in required if name not in raw)
+    values = {}
+    for name, value in raw.items():
+        if name not in spec:
+            continue
+        annotation, optional, taken = spec[name]
+        if type(value) in taken:
+            values[name] = float(value) if annotation is float else value
+        elif value is None and optional:
+            values[name] = None
+        elif not taken:
+            values[name] = _section(annotation, value, f"{where}.{name}", problems)
+        else:
+            kind = SCALARS[annotation][1] + (" or null" if optional else "")
+            problems.append(f"{where}.{name}: must be {kind}, got {value!r}")
+    if len(problems) > found:
+        return None
     try:
-        return SloSpec(
-            accuracy_target=float(raw.get("accuracy_target", 0.0)),
-            budget=float(raw.get("budget", 0.0)),
-            deadline=float(raw.get("deadline", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         problems.append(f"{where}: {exc}")
         return None
 
 
-def _parse_controller(raw: Any, problems: list[str]) -> ControllerConfig:
-    if not isinstance(raw, dict):
-        problems.append("controller: must be a mapping")
-        return ControllerConfig()
-    _unknown_keys(raw, CONTROLLER_FIELDS, "controller", problems)
-    bad_ints = [
-        f"controller.{name}: must be an integer, got {raw[name]!r}"
-        for name in CONTROLLER_INT_FIELDS
-        if name in raw and not _is_int(raw[name])
-    ]
-    if bad_ints:
-        problems.extend(bad_ints)
-        return ControllerConfig()
-    try:
-        return ControllerConfig(**{k: v for k, v in raw.items() if k in CONTROLLER_FIELDS})
-    except (TypeError, ValueError) as exc:
-        problems.append(f"controller: {exc}")
-        return ControllerConfig()
-
-
-def _parse_service_time(raw: Any, where: str, problems: list[str]) -> ServiceTime:
-    fallback = ServiceTime(family="fixed", value=1.0)
-    if not isinstance(raw, dict):
-        problems.append(f"{where}: must be a mapping with a family")
-        return fallback
-    try:
-        return ServiceTime(**raw)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{where}: {exc}")
-        return fallback
-
-
-def _parse_workers(raw: Any, problems: list[str]) -> list[WorkerClass]:
+def _sections(cls: type, raw: Any, where: str, problems: list[str]) -> list:
+    """The list `raw` read item by item with `_section`, dropping bad items."""
     if not isinstance(raw, list):
-        problems.append("workers: must be a list")
+        problems.append(f"{where}: must be a list, got {raw!r}")
         return []
-    workers = []
-    for i, entry in enumerate(raw):
-        where = f"workers[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be a mapping")
-            continue
-        _unknown_keys(entry, WORKER_FIELDS, where, problems)
-        service = _parse_service_time(entry.get("service_time"), f"{where}.service_time", problems)
-        try:
-            workers.append(
-                WorkerClass(
-                    name=entry.get("name", f"class{i}"),
-                    accuracy=float(entry.get("accuracy", -1)),
-                    arrival_rate=float(entry.get("arrival_rate", 0)),
-                    service_time=service,
-                    min_reward=float(entry.get("min_reward", 0.0)),
-                    retention=float(entry.get("retention", 0.5)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{where}: {exc}")
-    return workers
-
-
-def _parse_machines(raw: Any, problems: list[str]) -> list[MachineAgentProfile]:
-    if not isinstance(raw, list):
-        problems.append("machines: must be a list")
-        return []
-    machines = []
-    for i, entry in enumerate(raw):
-        where = f"machines[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be a mapping")
-            continue
-        _unknown_keys(entry, MACHINE_FIELDS, where, problems)
-        capacity = entry.get("capacity", 1)
-        if not _is_int(capacity):
-            problems.append(f"{where}.capacity: must be an integer, got {capacity!r}")
-            continue
-        try:
-            machines.append(
-                MachineAgentProfile(
-                    name=entry.get("name", f"machine{i}"),
-                    accuracy=float(entry.get("accuracy", -1)),
-                    service_time_per_item=float(entry.get("service_time_per_item", 0)),
-                    cost_per_item=float(entry.get("cost_per_item", 0.0)),
-                    capacity=capacity,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{where}: {exc}")
-    return machines
+    items = (_section(cls, entry, f"{where}[{i}]", problems) for i, entry in enumerate(raw))
+    return [item for item in items if item is not None]
 
 
 def _parse_workflow(
@@ -395,7 +358,7 @@ def _parse_workflow(
             )
             continue
         count = entry.get("microtask_count")
-        if not _is_int(count) or count < 1:
+        if not _is(count, int) or count < 1:
             problems.append(f"{where}.microtask_count: must be an integer >= 1, got {count!r}")
             continue
         domain_raw = entry.get("answer_domain")
@@ -411,7 +374,7 @@ def _parse_workflow(
             continue
         node_slo = None
         if "slo" in entry:
-            node_slo = _parse_slo(entry["slo"], f"{where}.slo", problems)
+            node_slo = _section(SloSpec, entry["slo"], f"{where}.slo", problems)
         try:
             nodes.append(
                 WorkflowNode(
@@ -445,6 +408,7 @@ def _parse_workflow(
 
 
 def _parse_script(raw: Any, problems: list[str]) -> list[ScriptEvent]:
+    """The script's events in file order."""
     if not isinstance(raw, list):
         problems.append("script: must be a list")
         return []
@@ -455,8 +419,8 @@ def _parse_script(raw: Any, problems: list[str]) -> list[ScriptEvent]:
             problems.append(f"{where}: must be a mapping")
             continue
         at = entry.get("at")
-        if not isinstance(at, (int, float)) or at < 0:
-            problems.append(f"{where}.at: must be a non-negative number")
+        if not _is(at, float) or at < 0:
+            problems.append(f"{where}.at: must be a non-negative number, got {at!r}")
             continue
         action = entry.get("action")
         if action not in SCRIPT_FIELDS:
@@ -465,13 +429,15 @@ def _parse_script(raw: Any, problems: list[str]) -> list[ScriptEvent]:
         _unknown_keys(entry, SCRIPT_FIELDS[action], where, problems)
         params = {k: v for k, v in entry.items() if k not in ("at", "action")}
         if action == "set_arrival_rate":
-            if not isinstance(params.get("worker_class"), str):
-                problems.append(f"{where}.worker_class: required string")
+            worker_class = params.get("worker_class")
+            if not _is(worker_class, str):
+                problems.append(f"{where}.worker_class: must be a string, got {worker_class!r}")
             rate = params.get("rate")
-            if not isinstance(rate, (int, float)) or rate < 0:
-                problems.append(f"{where}.rate: must be a non-negative number")
+            if not _is(rate, float) or rate < 0:
+                problems.append(f"{where}.rate: must be a non-negative number, got {rate!r}")
+            else:
+                params["rate"] = float(rate)
         events.append(ScriptEvent(at=float(at), action=str(action), params=params))
-    events.sort(key=lambda e: e.at)
     return events
 
 

@@ -38,6 +38,20 @@ def test_boolean_microtask_count_is_invalid(tmp_path, scenario_dict, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_script_naming_an_undeclared_worker_class_is_invalid(scenarios_dir, tmp_path, capsys):
+    raw = yaml.safe_load((scenarios_dir / "starvation.yaml").read_text(encoding="utf-8"))
+    raw["script"][0]["worker_class"] = "feld"
+    path = tmp_path / "feld.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    problem = "script[0].worker_class: 'feld' is not a declared worker class"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"invalid: {problem}\n"
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (out / "trace.jsonl").exists()
+
+
 @pytest.mark.parametrize("override", ["seed=true", "controller.polling_intervals=2.5"])
 def test_non_integer_override_is_config_error(scenario_file, tmp_path, capsys, override):
     out = tmp_path / "o"

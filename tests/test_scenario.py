@@ -1,9 +1,13 @@
 import json
+from dataclasses import dataclass, fields
 
 import pytest
 import yaml
 
 from slosim import scenario as scenario_module
+from slosim.agents import MachineAgentProfile, ServiceTime, WorkerClass
+from slosim.controller import ControllerConfig
+from slosim.runner import run
 from slosim.scenario import (
     ScenarioError,
     apply_overrides,
@@ -12,6 +16,9 @@ from slosim.scenario import (
     scenario_to_dict,
     write_scenario,
 )
+from slosim.slo import SloSpec
+
+SECTION_CLASSES = (SloSpec, ControllerConfig, WorkerClass, ServiceTime, MachineAgentProfile)
 
 
 def test_minimal_scenario_loads(scenario_dict):
@@ -51,6 +58,13 @@ def test_unknown_controller_field_flagged(scenario_dict):
     assert any("controller.turbo" in p for p in exc.value.problems)
 
 
+def _at(raw, section):
+    """The mapping at a problem's `where` path, e.g. `workers[0].service_time`."""
+    for part in section.replace("[", ".").replace("]", "").split(".") if section else ():
+        raw = raw[int(part)] if part.isdigit() else raw[part]
+    return raw
+
+
 def _with_script(raw):
     raw["script"] = [{"at": 1, "action": "set_arrival_rate", "worker_class": "crowd", "rate": 0.0}]
     return raw
@@ -68,6 +82,7 @@ def _with_node_slo(raw):
         ("slo", None),
         ("controller", None),
         ("workers[0]", None),
+        ("workers[0].service_time", None),
         ("machines[0]", None),
         ("workflow", None),
         ("workflow.nodes[0]", None),
@@ -79,10 +94,7 @@ def test_unknown_key_flagged_in_every_section(scenario_dict, section, prepare):
     raw = scenario_dict()
     if prepare is not None:
         prepare(raw)
-    target = raw
-    for part in section.replace("[", ".").replace("]", "").split(".") if section else ():
-        target = target[int(part)] if part.isdigit() else target[part]
-    target["retension"] = 0.9
+    _at(raw, section)["retension"] = 0.9
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(raw)
     where = f"{section}.retension" if section else "retension"
@@ -104,10 +116,88 @@ def test_machine_capacity_must_be_an_integer(scenario_dict, capacity):
     assert exc.value.problems[0] == f"machines[0].capacity: must be an integer, got {capacity!r}"
 
 
-def test_controller_integer_fields_are_the_int_annotated_ones():
-    assert scenario_module.CONTROLLER_INT_FIELDS == (
-        "polling_intervals", "replication_w", "machine_replication",
-    )
+@pytest.mark.parametrize("cls", SECTION_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_section_annotation_is_one_the_reader_knows(cls):
+    spec, _ = scenario_module._field_spec(cls)
+    assert list(spec) == [f.name for f in fields(cls)]
+    for annotation, _, _ in spec.values():
+        assert annotation in scenario_module.SCALARS or annotation in SECTION_CLASSES
+
+
+def test_reader_refuses_an_annotation_it_cannot_check():
+    @dataclass(frozen=True)
+    class Tagged:
+        tags: list[str]
+
+    with pytest.raises(TypeError, match="Tagged.tags"):
+        scenario_module._field_spec(Tagged)
+
+
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ("controller.initial_hm_ratio=true", "controller.initial_hm_ratio: must be a number, got True"),
+        ("controller.corrections_enabled=0", "controller.corrections_enabled: must be a boolean, got 0"),
+        (
+            "controller.assignment_window=true",
+            "controller.assignment_window: must be a number or null, got True",
+        ),
+        ("slo.budget=true", "slo.budget: must be a number, got True"),
+        ("workers.0.accuracy=true", "workers[0].accuracy: must be a number, got True"),
+        (
+            "workers.0.service_time.median=true",
+            "workers[0].service_time.median: must be a number or null, got True",
+        ),
+        ("script.0.rate=true", "script[0].rate: must be a non-negative number, got True"),
+        ("script.0.at=true", "script[0].at: must be a non-negative number, got True"),
+        ("machines.0.name=7", "machines[0].name: must be a string, got 7"),
+        ("workers.0.service_time=3", "workers[0].service_time: must be a mapping, got 3"),
+    ],
+)
+def test_wrong_typed_value_is_rejected(scenario_dict, override, problem):
+    raw = apply_overrides(_with_script(scenario_dict()), [override])
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.problems == [problem]
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("slo", "budget"), ("workers[0]", "name"), ("workers[0].service_time", "family"), ("machines[0]", "name")],
+)
+def test_field_without_a_default_is_required(scenario_dict, section, key):
+    raw = scenario_dict()
+    del _at(raw, section)[key]
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.problems == [f"{section}.{key}: required"]
+
+
+def test_left_out_field_takes_its_dataclass_default(scenario_dict):
+    raw = scenario_dict()
+    del raw["workers"][0]["retention"]
+    del raw["machines"][0]["capacity"]
+    scenario = scenario_from_dict(raw)
+    assert scenario.workers[0].retention == WorkerClass.retention
+    assert scenario.machines[0].capacity == MachineAgentProfile.capacity
+
+
+@pytest.mark.parametrize(
+    "as_int, as_float",
+    [
+        ("controller.initial_hm_ratio=4", "controller.initial_hm_ratio=4.0"),
+        ("workers.0.service_time.median=5", "workers.0.service_time.median=5.0"),
+        ("script.0.rate=0", "script.0.rate=0.0"),
+    ],
+)
+def test_integer_in_a_float_field_gives_the_float_trace(scenarios_dir, tmp_path, as_int, as_float):
+    traces = []
+    for override in (as_int, as_float):
+        scenario = load_scenario(scenarios_dir / "starvation.yaml", overrides=[override])
+        path = tmp_path / f"{override}.jsonl"
+        run(scenario, trace_path=path)
+        traces.append(path.read_bytes())
+    assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize(
