@@ -39,11 +39,15 @@ class ControllerConfig:
         multiplier when completion is at risk.
     hm_ratio_decay: multiplicative cut applied to the ratio when time risk
         persists, shifting work toward machine agents.
+    vote_rule: how a microtask's votes decide it: "majority" (more than
+        half of the votes) or "plurality" (a unique top count).
     machine_replication: independent machine passes per machine-routed
         microtask.
-    assignment_window: optional per-w-task completion window (time units
-        from spawn); by default returns are accepted until the node
-        deadline.
+    incentive_elasticity: e in rate = base * (1 + e * (multiplier - 1)),
+        how much an incentive raise lifts every class's arrival rate.
+    assignment_window: optional per-w-task completion window, in time
+        units from the w-task's first pickup; by default returns are
+        accepted until the node deadline.
     corrections_enabled: master switch for corrective actions; polling and
         risk probes stay on so a disabled controller still observes.
     """

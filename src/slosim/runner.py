@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -27,7 +27,7 @@ from .controller import (
     poll_instants,
     update_rho,
 )
-from .scenario import Scenario, controller_to_dict
+from .scenario import Scenario
 from .sim import EmptyQueue, HorizonExceeded, SimEvent, Simulation
 from .slo import SloSpec
 from .tasks import (
@@ -70,12 +70,10 @@ class _NodeRun:
         node: WorkflowNode,
         slo: SloSpec,
         config: ControllerConfig,
-        domain: tuple[str, ...],
         window_start: int,
     ):
         self.node = node
         self.slo = slo
-        self.domain = domain
         self.deadline = slo.deadline_ticks
         self.state = ControllerState(
             hm_ratio=config.initial_hm_ratio, ewma_alpha=config.ewma_alpha
@@ -146,7 +144,6 @@ class ExecutionEngine:
         *,
         name: str,
         graph: WorkflowGraph,
-        node_domains: dict[str, tuple[str, ...]],
         config: ControllerConfig,
         pool: AgentPool,
         sim: Simulation,
@@ -162,7 +159,6 @@ class ExecutionEngine:
             raise ValueError(f"invalid workflow graph: {report.render()}")
         self.name = name
         self.graph = graph
-        self.node_domains = node_domains
         self.config = config
         self.pool = pool
         self.sim = sim
@@ -222,13 +218,13 @@ class ExecutionEngine:
             digest=self.digest,
             seed=self.sim.seed,
             time_unit=self.time_unit,
-            config=controller_to_dict(self.config),
+            config=asdict(self.config),
             task_slo=self._slo_fields(self.task_slo),
             overrides=list(self.overrides),
         )
         for event in self.script:
             self.sim.schedule(
-                to_ticks(event.at), ExecutionEngine._on_script, event.action, event.params
+                to_ticks(event.at), ExecutionEngine._on_script, event.worker_class, event.rate
             )
         for worker_class in self.pool.workers:
             self._schedule_arrival(worker_class.name)
@@ -269,8 +265,7 @@ class ExecutionEngine:
         now = self.sim.now
         node = self.graph.node_map[node_id]
         slo = self.node_slos[node_id]
-        domain = self.node_domains.get(node_id, ("yes", "no"))
-        run = _NodeRun(node, slo, self.config, domain, window_start=now)
+        run = _NodeRun(node, slo, self.config, window_start=now)
         self.runs[node_id] = run
 
         n = node.microtask_count
@@ -294,10 +289,7 @@ class ExecutionEngine:
             slo=self._slo_fields(slo),
         )
 
-        if not domain:
-            raise ValueError("answer domain must be non-empty")
-        if len(set(domain)) != len(domain):
-            raise ValueError(f"answer domain has duplicates: {list(domain)}")
+        domain = node.answer_domain
         # one call for all n truths; it leaves the stream where n scalar draws would
         truth_rng = self.sim.rng(f"truth/{node_id}")
         truth_indices = truth_rng.integers(len(domain), size=n).tolist()
@@ -460,7 +452,8 @@ class ExecutionEngine:
 
         truth = run.microtasks[mt_id].truth
         answer_rng = self.sim.rng(f"answers/{worker_class.name}")
-        answer = answer_microtask(worker_class.accuracy, run.domain, truth, answer_rng)
+        domain = run.node.answer_domain
+        answer = answer_microtask(worker_class.accuracy, domain, truth, answer_rng)
 
         # A return past the window never gets here: the window's sweep at
         # completion_deadline + 1, or the node's last poll at its deadline,
@@ -563,7 +556,7 @@ class ExecutionEngine:
         else:
             votes = tuple(microtask.machine_votes)
         result = majority_vote(
-            VoteSet(mt_id, votes, run.domain), rule=self.config.vote_rule
+            VoteSet(mt_id, votes, run.node.answer_domain), rule=self.config.vote_rule
         )
         if result.status is ConsensusStatus.EMPTY:
             return  # nothing to evaluate; stays incomplete unless votes arrive
@@ -636,7 +629,8 @@ class ExecutionEngine:
         profile = station.profile
         microtask = run.microtasks[mt_id]
         answer_rng = self.sim.rng(f"answers/machine/{profile.name}")
-        answer = answer_microtask(profile.accuracy, run.domain, microtask.truth, answer_rng)
+        domain = run.node.answer_domain
+        answer = answer_microtask(profile.accuracy, domain, microtask.truth, answer_rng)
         self.ledger.settle_return(station.cost_micros)
         run.spend_micros += station.cost_micros
         microtask.machine_votes.append(answer)
@@ -770,11 +764,14 @@ class ExecutionEngine:
         run.no_consensus_pending.discard(mt_id)
         self.emit("escalated", node=run.node.id, microtask=mt_id, want_votes=want)
 
-    def _on_script(self, action: str, params: dict[str, Any]) -> None:
-        if action == "set_arrival_rate":
-            self.pool.set_base_rate(params["worker_class"], float(params["rate"]))
-            self.emit("script_applied", action=action, params=params)
-            self._schedule_arrival(params["worker_class"])
+    def _on_script(self, worker_class: str, rate: float) -> None:
+        self.pool.set_base_rate(worker_class, rate)
+        self.emit(
+            "script_applied",
+            action="set_arrival_rate",
+            params={"worker_class": worker_class, "rate": rate},
+        )
+        self._schedule_arrival(worker_class)
 
     # -- finalization -----------------------------------------------------------
 
@@ -853,7 +850,6 @@ def run(
         engine = ExecutionEngine(
             name=scenario.name,
             graph=scenario.graph,
-            node_domains=scenario.node_domains,
             config=scenario.controller,
             pool=pool,
             sim=sim,
@@ -875,7 +871,6 @@ def run_node(
     pool: AgentPool,
     sim: Simulation,
     *,
-    answer_domain: tuple[str, ...] = ("yes", "no"),
     trace_path: str | Path | None = None,
     reject: RejectPredicate | None = None,
 ) -> NodeOutcome:
@@ -889,7 +884,6 @@ def run_node(
         engine = ExecutionEngine(
             name=f"node:{node.id}",
             graph=graph,
-            node_domains={node.id: answer_domain},
             config=config,
             pool=pool,
             sim=sim,

@@ -12,9 +12,10 @@ import functools
 import hashlib
 import json
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Literal
 
 import yaml
 
@@ -36,17 +37,17 @@ TOP_FIELDS = (
     "workflow", "workers", "machines", "script",
 )
 WORKFLOW_FIELDS = ("nodes", "edges")
-NODE_FIELDS = ("id", "label", "agent_tag", "microtask_count", "answer_domain", "slo")
-SCRIPT_FIELDS = {"set_arrival_rate": ("at", "action", "worker_class", "rate")}  # by action
-CONTROLLER_FIELDS = tuple(f.name for f in fields(ControllerConfig))
 
-# the exact types a field of each annotation takes, and how a problem names it;
-# a float field also takes an int, stored as a float, and only bool takes a bool
-SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    bool: ((bool,), "a boolean"),
+# how a field of each annotation is read: the exact types it takes, how a
+# problem names it, and what turns a taken value into the field's value
+# (None: the value itself).  A float field also takes an int, stored as a
+# float, and only bool takes a bool.
+Read = tuple[tuple[type, ...], str, Callable[[Any], Any] | None]
+SCALARS: dict[type, Read] = {
+    int: ((int,), "an integer", None),
+    float: ((int, float), "a number", float),
+    str: ((str,), "a string", None),
+    bool: ((bool,), "a boolean", None),
 }
 
 
@@ -60,9 +61,18 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScriptEvent:
+    """At time `at`, set worker class `worker_class`'s base arrival rate."""
+
     at: float
-    action: str
-    params: dict[str, Any] = field(default_factory=dict)
+    action: Literal["set_arrival_rate"]
+    worker_class: str
+    rate: float
+
+    def __post_init__(self) -> None:
+        if self.at < 0:
+            raise ValueError(f"at must be >= 0: {self.at}")
+        if self.rate < 0:
+            raise ValueError(f"rate must be >= 0: {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,6 @@ class Scenario:
     seed: int
     time_unit: str
     graph: WorkflowGraph
-    node_domains: dict[str, tuple[str, ...]]
     workers: tuple[WorkerClass, ...]
     machines: tuple[MachineAgentProfile, ...]
     controller: ControllerConfig
@@ -196,8 +205,8 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     controller = _section(ControllerConfig, raw.get("controller", {}), "controller", problems)
     workers = _sections(WorkerClass, raw.get("workers", []), "workers", problems)
     machines = _sections(MachineAgentProfile, raw.get("machines", []), "machines", problems)
-    graph, node_domains = _parse_workflow(raw.get("workflow"), slo, problems)
-    script = _parse_script(raw.get("script", []), problems)
+    graph = _parse_workflow(raw.get("workflow"), slo, problems)
+    script = _sections(ScriptEvent, raw.get("script", []), "script", problems)
 
     if graph is not None:
         for violation in validate(graph).violations:
@@ -212,7 +221,6 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         seed=seed,
         time_unit=time_unit,
         graph=graph,
-        node_domains=node_domains,
         workers=tuple(workers),
         machines=tuple(machines),
         controller=controller,
@@ -234,15 +242,16 @@ def _check_references(
             problems.append(f"{where}: tag {node.agent_tag.value} needs at least one worker class")
         if node.agent_tag in (AgentTag.MACHINE_ONLY, AgentTag.EITHER) and not machines:
             problems.append(f"{where}: tag {node.agent_tag.value} needs at least one machine profile")
-        if node.node_slo is not None and node.node_slo.deadline > deadline:
+        if node.slo is not None and node.slo.deadline > deadline:
             problems.append(
-                f"{where}: node deadline {node.node_slo.deadline} exceeds task deadline {deadline}"
+                f"{where}: node deadline {node.slo.deadline} exceeds task deadline {deadline}"
             )
     classes = {w.name for w in workers}
     for i, event in enumerate(script):
-        name = event.params.get("worker_class")
-        if name is not None and name not in classes:
-            problems.append(f"script[{i}].worker_class: {name!r} is not a declared worker class")
+        if event.worker_class not in classes:
+            problems.append(
+                f"script[{i}].worker_class: {event.worker_class!r} is not a declared worker class"
+            )
 
 
 def _unknown_keys(raw: dict[str, Any], known: Iterable[str], where: str, problems: list[str]) -> None:
@@ -257,11 +266,40 @@ def _is(value: Any, annotation: type) -> bool:
     return type(value) in SCALARS[annotation][0]
 
 
+def _read_spec(annotation: Any) -> Read | None:
+    """How a field of `annotation` is read, when it is a scalar, an Enum, a
+    Literal or `tuple[str, ...]` (read from a list)."""
+    if annotation in SCALARS:
+        return SCALARS[annotation]
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        return (str,), f"one of {[member.value for member in annotation]}", annotation
+    if typing.get_origin(annotation) is Literal:
+        allowed = typing.get_args(annotation)
+        taken = tuple({type(value) for value in allowed})
+        return taken, f"one of {list(allowed)}", functools.partial(_member, allowed)
+    if annotation == tuple[str, ...]:
+        return (list,), "a list of strings", _strings
+    return None
+
+
+def _member(allowed: tuple, value: Any) -> Any:
+    if value not in allowed:
+        raise ValueError(value)
+    return value
+
+
+def _strings(items: list) -> tuple[str, ...]:
+    if not all(type(item) is str for item in items):
+        raise ValueError(items)
+    return tuple(items)
+
+
 @functools.cache
-def _field_spec(cls: type) -> tuple[dict[str, tuple[type, bool, tuple]], tuple[str, ...]]:
-    """Dataclass `cls`'s fields as name -> (type, optional, exact types taken),
-    the type being the annotation less any `| None`, and the names of those
-    without a default.  Raises TypeError on a type the reader cannot check.
+def _field_spec(cls: type) -> tuple[dict[str, tuple[Any, bool, Read | None]], tuple[str, ...]]:
+    """Dataclass `cls`'s fields as name -> (type, optional, read), the type
+    being the annotation less any `| None` and read its `_read_spec` (None
+    for a dataclass), and the names of those without a default.  Raises
+    TypeError on a type the reader cannot check.
     """
     hints = typing.get_type_hints(cls)
     spec, required = {}, []
@@ -271,9 +309,10 @@ def _field_spec(cls: type) -> tuple[dict[str, tuple[type, bool, tuple]], tuple[s
         optional = type(None) in args
         if optional and len(args) == 2:
             annotation = args[args[0] is type(None)]
-        if annotation not in SCALARS and not is_dataclass(annotation):
+        read = _read_spec(annotation)
+        if read is None and not is_dataclass(annotation):
             raise TypeError(f"{cls.__name__}.{f.name}: no scenario reader for {hints[f.name]}")
-        spec[f.name] = (annotation, optional, SCALARS[annotation][0] if annotation in SCALARS else ())
+        spec[f.name] = (annotation, optional, read)
         if f.default is MISSING and f.default_factory is MISSING:
             required.append(f.name)
     return spec, tuple(required)
@@ -296,16 +335,20 @@ def _section(cls: type, raw: Any, where: str, problems: list[str]) -> Any:
     for name, value in raw.items():
         if name not in spec:
             continue
-        annotation, optional, taken = spec[name]
-        if type(value) in taken:
-            values[name] = float(value) if annotation is float else value
-        elif value is None and optional:
+        annotation, optional, read = spec[name]
+        if value is None and optional:
             values[name] = None
-        elif not taken:
+        elif read is None:
             values[name] = _section(annotation, value, f"{where}.{name}", problems)
         else:
-            kind = SCALARS[annotation][1] + (" or null" if optional else "")
-            problems.append(f"{where}.{name}: must be {kind}, got {value!r}")
+            taken, kind, convert = read
+            try:
+                if type(value) not in taken:
+                    raise TypeError(value)
+                values[name] = value if convert is None else convert(value)
+            except (TypeError, ValueError, OverflowError):
+                kind += " or null" if optional else ""
+                problems.append(f"{where}.{name}: must be {kind}, got {value!r}")
     if len(problems) > found:
         return None
     try:
@@ -324,71 +367,26 @@ def _sections(cls: type, raw: Any, where: str, problems: list[str]) -> list:
     return [item for item in items if item is not None]
 
 
-def _parse_workflow(
-    raw: Any, slo: SloSpec | None, problems: list[str]
-) -> tuple[WorkflowGraph | None, dict[str, tuple[str, ...]]]:
+def _parse_workflow(raw: Any, slo: SloSpec | None, problems: list[str]) -> WorkflowGraph | None:
     if not isinstance(raw, dict):
         problems.append("workflow: missing or not a mapping")
-        return None, {}
+        return None
     _unknown_keys(raw, WORKFLOW_FIELDS, "workflow", problems)
     nodes_raw = raw.get("nodes")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         problems.append("workflow.nodes: must be a non-empty list")
-        return None, {}
+        return None
 
     nodes: list[WorkflowNode] = []
-    domains: dict[str, tuple[str, ...]] = {}
     for i, entry in enumerate(nodes_raw):
         where = f"workflow.nodes[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be a mapping")
+        node = _section(WorkflowNode, entry, where, problems)
+        if node is None:
             continue
-        _unknown_keys(entry, NODE_FIELDS, where, problems)
-        node_id = entry.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            problems.append(f"{where}.id: must be a non-empty string")
-            continue
-        tag_text = entry.get("agent_tag", "either")
-        try:
-            tag = AgentTag(tag_text)
-        except ValueError:
-            problems.append(
-                f"{where}.agent_tag: {tag_text!r} is not one of "
-                f"{[t.value for t in AgentTag]}"
-            )
-            continue
-        count = entry.get("microtask_count")
-        if not _is(count, int) or count < 1:
-            problems.append(f"{where}.microtask_count: must be an integer >= 1, got {count!r}")
-            continue
-        domain_raw = entry.get("answer_domain")
-        if (
-            not isinstance(domain_raw, list)
-            or len(domain_raw) < 2
-            or len(set(domain_raw)) != len(domain_raw)
-            or not all(isinstance(label, str) for label in domain_raw)
-        ):
-            problems.append(
-                f"{where}.answer_domain: must be a list of >= 2 distinct label strings"
-            )
-            continue
-        node_slo = None
-        if "slo" in entry:
-            node_slo = _section(SloSpec, entry["slo"], f"{where}.slo", problems)
-        try:
-            nodes.append(
-                WorkflowNode(
-                    id=node_id,
-                    label=str(entry.get("label", node_id)),
-                    agent_tag=tag,
-                    microtask_count=count,
-                    node_slo=node_slo,
-                )
-            )
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-            continue
-        domains[node_id] = tuple(domain_raw)
+        if node.microtask_count < 1:
+            count = node.microtask_count
+            problems.append(f"{where}.microtask_count: must be an integer >= 1, got {count}")
+        nodes.append(node)
 
     edges_raw = raw.get("edges", [])
     edges: set[tuple[str, str]] = set()
@@ -402,63 +400,19 @@ def _parse_workflow(
             edges.add((pair[0], pair[1]))
 
     if slo is None or not nodes:
-        return None, domains
-    graph = WorkflowGraph(nodes=tuple(nodes), edges=frozenset(edges), task_slo=slo)
-    return graph, domains
-
-
-def _parse_script(raw: Any, problems: list[str]) -> list[ScriptEvent]:
-    """The script's events in file order."""
-    if not isinstance(raw, list):
-        problems.append("script: must be a list")
-        return []
-    events = []
-    for i, entry in enumerate(raw):
-        where = f"script[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be a mapping")
-            continue
-        at = entry.get("at")
-        if not _is(at, float) or at < 0:
-            problems.append(f"{where}.at: must be a non-negative number, got {at!r}")
-            continue
-        action = entry.get("action")
-        if action not in SCRIPT_FIELDS:
-            problems.append(f"{where}.action: {action!r} not one of {sorted(SCRIPT_FIELDS)}")
-            continue
-        _unknown_keys(entry, SCRIPT_FIELDS[action], where, problems)
-        params = {k: v for k, v in entry.items() if k not in ("at", "action")}
-        if action == "set_arrival_rate":
-            worker_class = params.get("worker_class")
-            if not _is(worker_class, str):
-                problems.append(f"{where}.worker_class: must be a string, got {worker_class!r}")
-            rate = params.get("rate")
-            if not _is(rate, float) or rate < 0:
-                problems.append(f"{where}.rate: must be a non-negative number, got {rate!r}")
-            else:
-                params["rate"] = float(rate)
-        events.append(ScriptEvent(at=float(at), action=str(action), params=params))
-    return events
-
-
-def controller_to_dict(config: ControllerConfig) -> dict[str, Any]:
-    """Every ControllerConfig field by name, in declaration order."""
-    return {name: getattr(config, name) for name in CONTROLLER_FIELDS}
+        return None
+    return WorkflowGraph(nodes=tuple(nodes), edges=frozenset(edges), task_slo=slo)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Inverse of scenario_from_dict; load(write(s)) == s."""
     nodes = []
     for node in scenario.graph.nodes:
-        entry: dict[str, Any] = {
-            "id": node.id,
-            "label": node.label,
-            "agent_tag": node.agent_tag.value,
-            "microtask_count": node.microtask_count,
-            "answer_domain": list(scenario.node_domains[node.id]),
-        }
-        if node.node_slo is not None:
-            entry["slo"] = asdict(node.node_slo)
+        entry = asdict(node)
+        entry["agent_tag"] = node.agent_tag.value
+        entry["answer_domain"] = list(node.answer_domain)
+        if node.slo is None:
+            del entry["slo"]  # absent, not null: the key set feeds Scenario.digest
         nodes.append(entry)
 
     workers = []
@@ -468,7 +422,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         entry["service_time"] = {k: v for k, v in entry["service_time"].items() if v is not None}
         workers.append(entry)
 
-    controller = controller_to_dict(scenario.controller)
+    controller = asdict(scenario.controller)
     if controller["assignment_window"] is None:
         # absent, not null: the key set feeds Scenario.digest
         del controller["assignment_window"]
@@ -488,8 +442,5 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "machines": [asdict(m) for m in scenario.machines],
     }
     if scenario.script:
-        raw["script"] = [
-            {"at": event.at, "action": event.action, **event.params}
-            for event in scenario.script
-        ]
+        raw["script"] = [asdict(event) for event in scenario.script]
     return raw

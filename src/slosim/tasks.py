@@ -72,7 +72,8 @@ class WTask:
         return agent_id in self.pending or agent_id in self.answers
 
     def drop_unfilled_slots(self) -> None:
-        """Stop wanting more votes than are issued; used at finalization."""
+        """Stop wanting more votes than are issued; used when a slot that
+        timed out is not reissued because corrections are off."""
         self.want_votes = len(self.answers) + len(self.pending)
 
 

@@ -22,24 +22,31 @@ class AgentTag(Enum):
 
 @dataclass(frozen=True)
 class WorkflowNode:
-    """One activity: a set of `microtask_count` independent microtasks.
-
-    `node_slo` overrides the targets derived from the task-level SLO when
-    present.  A zero microtask_count is accepted as a degenerate node that
-    completes immediately; scenario files require at least one.
+    """One activity: `microtask_count` independent microtasks, each answered
+    with one label of `answer_domain`.  `label` defaults to the id, and
+    `slo`, when present, overrides the targets derived from the task SLO.
+    A zero count is a degenerate node that completes at once; scenario
+    files require at least one.
     """
 
     id: str
-    label: str
-    agent_tag: AgentTag
     microtask_count: int
-    node_slo: SloSpec | None = None
+    answer_domain: tuple[str, ...]
+    label: str | None = None
+    agent_tag: AgentTag = AgentTag.EITHER
+    slo: SloSpec | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("node id must be non-empty")
+        if self.label is None:
+            object.__setattr__(self, "label", self.id)
         if self.microtask_count < 0:
             raise ValueError(f"microtask_count must be >= 0: {self.microtask_count}")
+        if len(self.answer_domain) < 2 or len(set(self.answer_domain)) != len(self.answer_domain):
+            raise ValueError(
+                f"answer_domain must hold >= 2 distinct labels: {list(self.answer_domain)}"
+            )
         if not isinstance(self.agent_tag, AgentTag):
             raise ValueError(f"agent_tag must be an AgentTag: {self.agent_tag!r}")
 
@@ -56,9 +63,6 @@ class WorkflowGraph:
 
     def predecessors(self, node_id: str) -> set[str]:
         return {src for src, dst in self.edges if dst == node_id}
-
-    def successors(self, node_id: str) -> set[str]:
-        return {dst for src, dst in self.edges if src == node_id}
 
 
 @dataclass(frozen=True)
@@ -113,52 +117,45 @@ def validate(graph: WorkflowGraph) -> ValidationReport:
                     )
                 )
 
-    cycle = _find_cycle(seen, graph.edges)
-    if cycle is not None:
+    order, predecessors = _kahn(graph)
+    left = predecessors.keys() - set(order)
+    if left:
+        # each node Kahn's algorithm left out has a predecessor it left out,
+        # so walking back through those comes round to a node already seen
+        path, nid = [], min(left)
+        while nid not in path:
+            path.append(nid)
+            nid = min(pred for pred in predecessors[nid] if pred in left)
+        cycle = path[path.index(nid):][::-1]
         report.violations.append(
             Violation("cycle", f"dependency cycle: {' -> '.join(cycle)}", tuple(cycle))
         )
     return report
 
 
-def _find_cycle(node_ids: set[str], edges: frozenset[tuple[str, str]]) -> list[str] | None:
-    """Return one concrete cycle as a node sequence, or None."""
-    adjacency: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for src, dst in sorted(edges):
-        if src in adjacency and dst in adjacency:
-            adjacency[src].append(dst)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in node_ids}
-    parent: dict[str, str] = {}
-
-    for start in sorted(node_ids):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(adjacency[node]):
-                stack[-1] = (node, idx + 1)
-                child = adjacency[node][idx]
-                if color[child] == GRAY:
-                    # walk parents back from node to child to list the cycle
-                    cycle = [child]
-                    cursor = node
-                    while cursor != child:
-                        cycle.append(cursor)
-                        cursor = parent[cursor]
-                    cycle.reverse()
-                    return cycle
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    parent[child] = node
-                    stack.append((child, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return None
+def _kahn(graph: WorkflowGraph) -> tuple[list[str], dict[str, list[str]]]:
+    """Kahn's algorithm, ties broken by ascending id: the nodes it reaches in
+    order, and each node's predecessors.  Edges to unknown nodes are left
+    out; the nodes it does not reach are those on or behind a cycle.
+    """
+    predecessors: dict[str, list[str]] = {node.id: [] for node in graph.nodes}
+    successors: dict[str, list[str]] = {nid: [] for nid in predecessors}
+    for src, dst in graph.edges:
+        if src in predecessors and dst in predecessors:
+            predecessors[dst].append(src)
+            successors[src].append(dst)
+    indegree = {nid: len(preds) for nid, preds in predecessors.items()}
+    ready = [nid for nid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for succ in successors[nid]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    return order, predecessors
 
 
 def topological_order(graph: WorkflowGraph) -> list[str]:
@@ -166,22 +163,7 @@ def topological_order(graph: WorkflowGraph) -> list[str]:
     report = validate(graph)
     if not report.ok:
         raise GraphInvalid(report)
-
-    indegree = {node.id: 0 for node in graph.nodes}
-    for _, dst in graph.edges:
-        indegree[dst] += 1
-
-    ready = [nid for nid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for succ in sorted(graph.successors(nid)):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    return order
+    return _kahn(graph)[0]
 
 
 def ready_nodes(graph: WorkflowGraph, completed: set[str]) -> set[str]:
@@ -221,8 +203,8 @@ def derive_node_slos(graph: WorkflowGraph) -> dict[str, SloSpec]:
 
     resolved: dict[str, SloSpec] = {}
     for node in sorted(graph.nodes, key=lambda n: n.id):
-        if node.node_slo is not None:
-            resolved[node.id] = node.node_slo
+        if node.slo is not None:
+            resolved[node.id] = node.slo
             continue
         if total_count > 0:
             budget = task.budget * node.microtask_count / total_count

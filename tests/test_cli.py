@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from slosim.cli import main
+from slosim.scenario import apply_overrides
 from slosim.trace import read_trace, summarize
 
 
@@ -33,9 +34,32 @@ def test_boolean_microtask_count_is_invalid(tmp_path, scenario_dict, capsys):
     path = tmp_path / "bool.yaml"
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     assert main(["validate", str(path)]) == 1
-    assert "microtask_count: must be an integer >= 1, got True" in capsys.readouterr().out
+    assert "microtask_count: must be an integer, got True" in capsys.readouterr().out
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+HUGE = "1" + "0" * 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "dotted, where",
+    [
+        ("slo.budget", "slo.budget"),
+        ("workers.0.accuracy", "workers[0].accuracy"),
+        ("script.0.rate", "script[0].rate"),
+    ],
+)
+def test_integer_too_large_for_a_float_is_invalid(scenarios_dir, tmp_path, capsys, dotted, where):
+    source = scenarios_dir / "starvation.yaml"
+    raw = apply_overrides(yaml.safe_load(source.read_text(encoding="utf-8")), [f"{dotted}={HUGE}"])
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert f"{where}: must be a number, got {HUGE}" in capsys.readouterr().out
+    assert main(["run", str(source), "--set", f"{dotted}={HUGE}", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: must be a number") and "Traceback" not in err
 
 
 def test_script_naming_an_undeclared_worker_class_is_invalid(scenarios_dir, tmp_path, capsys):

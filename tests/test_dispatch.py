@@ -19,7 +19,9 @@ from conftest import SCENARIOS_DIR
 
 
 def _node() -> WorkflowNode:
-    return WorkflowNode(id="n", label="n", agent_tag=AgentTag.HUMAN_ONLY, microtask_count=1)
+    return WorkflowNode(
+        id="n", microtask_count=1, answer_domain=("yes", "no"), agent_tag=AgentTag.HUMAN_ONLY
+    )
 
 
 def _engine(
@@ -46,7 +48,6 @@ def _engine(
     return ExecutionEngine(
         name="dispatch",
         graph=WorkflowGraph(nodes=(_node(),), edges=frozenset(), task_slo=slo),
-        node_domains={"n": ("yes", "no")},
         config=ControllerConfig(replication_w=w, assignment_window=window),
         pool=pool,
         sim=Simulation(seed=1, horizon=slo.deadline_ticks),
@@ -65,7 +66,7 @@ _IDS = [f"n:{i:05d}" for i in (0, 7, 9999, 10000, 10001, 99999, 100000, 100001, 
 @given(st.lists(st.tuples(st.booleans(), st.sampled_from(_IDS)), max_size=60))
 def test_open_list_stays_sorted_unique_and_equal_to_its_set(ops):
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=10.0)
-    run_ = _NodeRun(_node(), slo, ControllerConfig(), ("yes", "no"), window_start=0)
+    run_ = _NodeRun(_node(), slo, ControllerConfig(), window_start=0)
     model: set[str] = set()
     for is_reopen, mt_id in ops:
         if is_reopen:

@@ -37,9 +37,7 @@ def test_all_machine_zero_cost(scenario_dict):
 
 
 def test_empty_node_is_immediate_success():
-    node = WorkflowNode(
-        id="empty", label="empty", agent_tag=AgentTag.EITHER, microtask_count=0
-    )
+    node = WorkflowNode(id="empty", microtask_count=0, answer_domain=("yes", "no"))
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=100.0)
     pool = AgentPool(
         workers=(
@@ -59,14 +57,16 @@ def test_empty_node_is_immediate_success():
 
 
 def test_run_node_returns_final_results(scenario_dict):
-    node = WorkflowNode(id="n", label="n", agent_tag=AgentTag.MACHINE_ONLY, microtask_count=10)
+    node = WorkflowNode(
+        id="n", microtask_count=10, answer_domain=("x", "y"), agent_tag=AgentTag.MACHINE_ONLY
+    )
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=50.0)
     pool = AgentPool(
         workers=(),
         machines=(MachineAgentProfile(name="m", accuracy=1.0, service_time_per_item=1.0, capacity=4),),
     )
     sim = Simulation(seed=3, horizon=to_ticks(50.0))
-    outcome = run_node(node, slo, ControllerConfig(), pool, sim, answer_domain=("x", "y"))
+    outcome = run_node(node, slo, ControllerConfig(), pool, sim)
     assert len(outcome.results) == 10
     assert outcome.summary.consensus == 10  # perfect machine always reaches consensus
 
@@ -116,7 +116,9 @@ def _run_minimal(path, reject):
 
 
 def _run_human_node(path, reject):
-    node = WorkflowNode(id="n", label="n", agent_tag=AgentTag.HUMAN_ONLY, microtask_count=10)
+    node = WorkflowNode(
+        id="n", microtask_count=10, answer_domain=("yes", "no"), agent_tag=AgentTag.HUMAN_ONLY
+    )
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=100.0)
     pool = AgentPool(
         workers=(
@@ -206,7 +208,7 @@ def _engine_objects() -> Counter:
 
 
 def _run_hybrid_node() -> None:
-    node = WorkflowNode(id="n", label="n", agent_tag=AgentTag.EITHER, microtask_count=40)
+    node = WorkflowNode(id="n", microtask_count=40, answer_domain=("yes", "no"))
     slo = SloSpec(accuracy_target=0.9, budget=1.0, deadline=50.0)
     pool = AgentPool(
         workers=(
@@ -429,6 +431,30 @@ def test_assignment_window_produces_timeouts(scenario_dict):
     assert any(r["kind"] == "assignment_timeout" for r in result.records)
     end = next(r for r in result.records if r["kind"] == "run_end")
     assert end["committed"] == 0
+
+
+def test_timeout_with_corrections_off_is_never_reassigned(scenarios_dir):
+    overrides = ["controller.corrections_enabled=false", "controller.assignment_window=2.0"]
+    records = run(load_scenario(scenarios_dir / "minimal.yaml", overrides=overrides)).records
+    first_timeout: dict[str, int] = {}
+    for i, record in enumerate(records):
+        if record["kind"] == "assignment_timeout":
+            first_timeout.setdefault(record["microtask"], i)
+    assert len(first_timeout) == 20
+    assert not any(record["kind"] == "action" for record in records)
+    reissued = [
+        record["microtask"]
+        for i, record in enumerate(records)
+        if record["kind"] == "assignment_issued" and i > first_timeout.get(record["microtask"], i)
+    ]
+    assert reissued == []
+    # two of its three slots time out and are dropped, so the one answer
+    # decides it then, not at the node's end
+    mine = [record for record in records if record.get("microtask") == "classify:00001"]
+    timed_out_at = max(r["time"] for r in mine if r["kind"] == "assignment_timeout")
+    decided = [r for r in mine if r["kind"] == "vote_result"]
+    assert [(r["final"], r["votes"], r["time"]) for r in decided] == [(True, 1, timed_out_at)]
+    assert records[-1]["kind"] == "run_end" and records[-1]["committed"] == 0
 
 
 # -- randomized budget safety (small; the acceptance suite scales this up) -------------

@@ -17,15 +17,19 @@ from slosim.scenario import (
     write_scenario,
 )
 from slosim.slo import SloSpec
+from slosim.workflow import WorkflowNode
 
-SECTION_CLASSES = (SloSpec, ControllerConfig, WorkerClass, ServiceTime, MachineAgentProfile)
+SECTION_CLASSES = (
+    SloSpec, ControllerConfig, WorkerClass, ServiceTime, MachineAgentProfile, WorkflowNode,
+    scenario_module.ScriptEvent,
+)
 
 
 def test_minimal_scenario_loads(scenario_dict):
     scenario = scenario_from_dict(scenario_dict())
     assert scenario.name == "fixture"
     assert scenario.graph.node_map["label"].microtask_count == 20
-    assert scenario.node_domains["label"] == ("a", "b", "c")
+    assert scenario.graph.node_map["label"].answer_domain == ("a", "b", "c")
 
 
 def test_zero_budget_names_the_field(scenario_dict):
@@ -120,8 +124,8 @@ def test_machine_capacity_must_be_an_integer(scenario_dict, capacity):
 def test_every_section_annotation_is_one_the_reader_knows(cls):
     spec, _ = scenario_module._field_spec(cls)
     assert list(spec) == [f.name for f in fields(cls)]
-    for annotation, _, _ in spec.values():
-        assert annotation in scenario_module.SCALARS or annotation in SECTION_CLASSES
+    for annotation, _, read in spec.values():
+        assert read is not None or annotation in SECTION_CLASSES
 
 
 def test_reader_refuses_an_annotation_it_cannot_check():
@@ -148,8 +152,8 @@ def test_reader_refuses_an_annotation_it_cannot_check():
             "workers.0.service_time.median=true",
             "workers[0].service_time.median: must be a number or null, got True",
         ),
-        ("script.0.rate=true", "script[0].rate: must be a non-negative number, got True"),
-        ("script.0.at=true", "script[0].at: must be a non-negative number, got True"),
+        ("script.0.rate=true", "script[0].rate: must be a number, got True"),
+        ("script.0.at=true", "script[0].at: must be a number, got True"),
         ("machines.0.name=7", "machines[0].name: must be a string, got 7"),
         ("workers.0.service_time=3", "workers[0].service_time: must be a mapping, got 3"),
     ],
@@ -206,7 +210,7 @@ def test_integer_in_a_float_field_gives_the_float_trace(scenarios_dir, tmp_path,
         ("seed=true", "seed: must be a non-negative integer, got True"),
         (
             "workflow.nodes.0.microtask_count=true",
-            "workflow.nodes[0].microtask_count: must be an integer >= 1, got True",
+            "workflow.nodes[0].microtask_count: must be an integer, got True",
         ),
         ("controller.replication_w=true", "controller.replication_w: must be an integer, got True"),
         ("controller.polling_intervals=true", "controller.polling_intervals: must be an integer, got True"),
@@ -394,5 +398,5 @@ def test_controller_fields_round_trip_and_omit_unset_window(scenario_dict):
     windowed = scenario_from_dict(raw)
     controller = scenario_to_dict(windowed)["controller"]
     assert controller["assignment_window"] == 4.0
-    assert set(controller) == set(scenario_module.CONTROLLER_FIELDS)
+    assert set(controller) == {f.name for f in fields(ControllerConfig)}
     assert scenario_from_dict(scenario_to_dict(windowed)) == windowed

@@ -7,11 +7,7 @@ accepted after its window is checked on whole traces in
 
 import pytest
 
-from slosim.agents import AgentPool
-from slosim.controller import ControllerConfig
-from slosim.runner import ExecutionEngine, run_node
-from slosim.sim import Simulation
-from slosim.slo import SloSpec
+from slosim.runner import ExecutionEngine
 from slosim.tasks import (
     Microtask,
     Route,
@@ -20,8 +16,9 @@ from slosim.tasks import (
     record_return,
     spawn_wtask,
 )
+from slosim.workflow import WorkflowNode
 
-from test_dispatch import _engine, _node
+from test_dispatch import _engine
 
 
 def microtask(route=Route.HUMAN):
@@ -220,10 +217,6 @@ def test_reward_total_bounded_by_wanted_votes():
 
 
 def test_microtask_rejects_bad_domains():
-    config = ControllerConfig()
-    slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=10.0)
-    pool = AgentPool(workers=(), machines=())
-    with pytest.raises(ValueError, match="must be non-empty"):
-        run_node(_node(), slo, config, pool, Simulation(1, slo.deadline_ticks), answer_domain=())
-    with pytest.raises(ValueError, match=r"has duplicates: \['a', 'a'\]"):
-        run_node(_node(), slo, config, pool, Simulation(1, slo.deadline_ticks), answer_domain=("a", "a"))
+    for domain in ((), ("a",), ("a", "a")):
+        with pytest.raises(ValueError, match=r"answer_domain must hold >= 2 distinct labels"):
+            WorkflowNode(id="n", microtask_count=1, answer_domain=domain)

@@ -19,7 +19,9 @@ SLO = SloSpec(accuracy_target=0.8, budget=10.0, deadline=100.0)
 
 
 def node(node_id, count=5, tag=AgentTag.EITHER, slo=None):
-    return WorkflowNode(id=node_id, label=node_id, agent_tag=tag, microtask_count=count, node_slo=slo)
+    return WorkflowNode(
+        id=node_id, microtask_count=count, answer_domain=("yes", "no"), agent_tag=tag, slo=slo
+    )
 
 
 def graph(ids, edges):
@@ -150,6 +152,28 @@ def test_progressive_completion_visits_every_node_once(g):
         completed |= batch
     assert sorted(visited) == sorted(n.id for n in g.nodes)
     assert len(visited) == len(set(visited))
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    ids = [f"n{i}" for i in range(n)]
+    edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    return graph(ids, draw(st.sets(edge, max_size=12)))
+
+
+@settings(max_examples=200)
+@given(small_digraphs())
+def test_reported_cycle_is_a_cycle_of_the_graph(g):
+    completed: set[str] = set()
+    while batch := ready_nodes(g, completed):
+        completed |= batch
+    cycles = [v.subjects for v in validate(g).violations if v.kind == "cycle"]
+    assert len(cycles) == (len(completed) < len(g.nodes))
+    for cycle in cycles:
+        assert len(set(cycle)) == len(cycle)
+        for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (src, dst) in g.edges
 
 
 # -- SLO derivation ------------------------------------------------------------------
