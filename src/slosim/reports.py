@@ -57,7 +57,14 @@ def arrival_histogram(records: Iterable[dict[str, Any]], bins: int = DEFAULT_BIN
     for record in records:
         if record["kind"] == "worker_arrival":
             try:
-                arrivals.setdefault(record["cls"], []).append(record["time"])
+                times = arrivals.setdefault(record["cls"], [])
+                time = record["time"]
+                if time < (times[-1] if times else 0):
+                    since = f"the previous arrival of class {record['cls']!r}" if times else "the run's start"
+                    raise ValueError(
+                        f"bad trace record: 'worker_arrival' record at time {time} is earlier than {since}"
+                    )
+                times.append(time)
             except (KeyError, TypeError) as exc:
                 raise bad_record(record, exc) from exc
 

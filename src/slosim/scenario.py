@@ -29,6 +29,9 @@ SCHEMA_VERSION = 1
 # libyaml's scanner and parser when PyYAML was built with them; the resolver
 # and constructor are PyYAML's Python code either way, so values are equal.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# PyYAML's constructors raise ValueError for a scalar they cannot build, such
+# as an int of more digits than int() converts or a date with month 13.
+YAML_ERRORS = (yaml.YAMLError, ValueError)
 
 # the keys of the sections that no dataclass declares; a dataclass section
 # takes its field names.  Any other key is reported as unknown.
@@ -104,7 +107,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
     with open(path, "r", encoding="utf-8") as stream:
         try:
             raw = yaml.load(stream, Loader=YAML_LOADER)
-        except yaml.YAMLError as exc:
+        except YAML_ERRORS as exc:
             raise ScenarioError([f"{path}: not valid YAML: {_yaml_error_line(exc)}"]) from exc
     if not isinstance(raw, dict):
         raise ScenarioError([f"{path}: top level must be a mapping"])
@@ -113,7 +116,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
     return scenario_from_dict(raw)
 
 
-def _yaml_error_line(exc: yaml.YAMLError) -> str:
+def _yaml_error_line(exc: Exception) -> str:
     """A YAML error on one line; str(exc) spans several and may quote the source."""
     mark = getattr(exc, "problem_mark", None)
     if mark is None:
@@ -141,7 +144,7 @@ def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]
         dotted, _, text = item.partition("=")
         try:
             value = yaml.load(text, Loader=YAML_LOADER)
-        except yaml.YAMLError as exc:
+        except YAML_ERRORS as exc:
             problem = f"override {item!r}: not valid YAML: {_yaml_error_line(exc)}"
             raise ScenarioError([problem]) from exc
         cursor: Any = raw

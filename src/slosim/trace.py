@@ -97,56 +97,98 @@ class TraceWriter:
         self.close()
 
 
+_BLOCK_BYTES = 64 * 1024
+
+# The scan of a block: a digit reads "0", "." and "\n" read as themselves, any
+# other printable ASCII byte reads " " and every other byte "!".
+_SCAN = bytes(
+    ord("0") if byte in b"0123456789" else byte if byte in b".\n" else 0x20 if 0x20 <= byte < 0x7F else ord("!")
+    for byte in range(256)
+)
+_LONG_INT = b" " + b"0" * 19
+
+
+def _is_clean(block: bytes) -> bool:
+    """Whether each line of `block` is printable ASCII and each int on it has
+    at most 18 digits, so fits in 64 bits (19 digits after "." are a
+    fraction's, and at the start of a line are not inside an object).  On a
+    clean line orjson gives json's value or rejects the line."""
+    scan = block.translate(_SCAN)
+    return b"!" not in scan and _LONG_INT not in scan
+
+
 def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield the records of a trace file one at a time, in file order.
 
-    A line that is not UTF-8, or not one JSON object with a "kind", raises
-    ValueError naming the file and line."""
-    loads = orjson.loads if orjson is not None else None
-    # A byte that is not UTF-8 reads as a lone surrogate instead of failing
-    # the read of the whole buffer, so the error below can name its line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = None
-            if loads is not None:
-                # orjson rejects NaN, infinities and lone surrogates, which
-                # json reads, and reads an int beyond 64 bits as a float.  The
-                # json decoder reads again a line orjson rejects, a value that
-                # is not an object and an object holding a float that large or
-                # a container, which is not checked here.
-                try:
-                    record = loads(line)
-                except orjson.JSONDecodeError:
-                    pass
-                if type(record) is dict:
-                    for value in record.values():
-                        kind = type(value)
-                        if kind is float:
-                            if abs(value) < 2**63:
-                                continue
-                        elif kind is not dict and kind is not list:
-                            continue
+    Lines end as in text mode (at "\\n", "\\r\\n" or "\\r") and blank lines are
+    skipped.  A line that is not UTF-8, or not one JSON object with a "kind",
+    raises ValueError naming the file and line."""
+    line_no = 0
+    with open(path, "rb") as stream:
+        for block in _blocks(stream):
+            if orjson is not None and _is_clean(block):
+                lines = block.split(b"\n")
+                del lines[-1]
+                for line_no, line in enumerate(lines, line_no + 1):
+                    # orjson rejects NaN, infinities, lone surrogates and a
+                    # blank line.  The json decoder reads again each such line,
+                    # and a value that is not a record, to give json's value or
+                    # error for it.
+                    try:
+                        record = orjson.loads(line)
+                    except orjson.JSONDecodeError:
                         record = None
-                        break
-                else:
-                    record = None
-            if record is None:
-                try:
-                    if not line.isascii():
-                        # orjson rejects lone surrogates and json reads them, so
-                        # decode the line's bytes again to raise for a bad one
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    record, end = _raw_decode(line)
-                    if end != len(line):
-                        raise json.JSONDecodeError("Extra data", line, end)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
-            if type(record) is not dict or "kind" not in record:
-                raise ValueError(f"{path}:{line_no}: bad trace record: not an object with a 'kind'")
-            yield record
+                    if type(record) is not dict or "kind" not in record:
+                        line = line.strip()
+                        if not line:
+                            continue
+                        record = _decode_line(path, line_no, line.decode("ascii"))
+                    yield record
+            else:
+                # A byte that is not UTF-8 reads as a lone surrogate instead of
+                # failing the whole block, so the error can name its line, and
+                # line ends are converted as text mode converts them.
+                text = block.decode("utf-8", "surrogateescape")
+                lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                del lines[-1]
+                for line_no, line in enumerate(lines, line_no + 1):
+                    line = line.strip()
+                    if line:
+                        yield _decode_line(path, line_no, line)
+
+
+def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
+    """The stream's bytes as blocks of whole lines, each ending at a line end;
+    a last line that has none is given a "\\n"."""
+    start: list[bytes] = []  # the start of a line no block has ended yet
+    while chunk := stream.read(_BLOCK_BYTES):
+        # a "\r" that ends a chunk may start a "\r\n", so no cut follows it
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            start.append(chunk[:cut])
+            yield b"".join(start)
+            start = []
+        start.append(chunk[cut:])
+    last = b"".join(start)
+    if last:
+        yield last + b"\n"
+
+
+def _decode_line(path: str | Path, line_no: int, line: str) -> dict[str, Any]:
+    """The record on a stripped, non-blank line, read by the json decoder."""
+    try:
+        if not line.isascii():
+            # json reads a lone surrogate, so decode the line's bytes again
+            # to raise for one that stands for a byte that is not UTF-8
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        record, end = _raw_decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
+    if type(record) is not dict or "kind" not in record:
+        raise ValueError(f"{path}:{line_no}: bad trace record: not an object with a 'kind'")
+    return record
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:
@@ -262,7 +304,9 @@ class SummaryReducer:
                 self._node_start[record["node"]] = record
                 self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
             elif kind == "vote_result" and record["final"]:
-                bucket = self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+                bucket = self._results.get(record["node"])
+                if bucket is None:
+                    bucket = self._results[record["node"]] = {"consensus": 0, "no_consensus": 0}
                 if record["status"] == "consensus":
                     bucket["consensus"] += 1
                 else:
@@ -285,7 +329,9 @@ class SummaryReducer:
                 agg = _class_bucket(self._class_agg, record["cls"])
                 agg["timed_out"] += 1
             elif kind == "machine_done":
-                agg = self._machine_agg.setdefault(record["profile"], {"items": 0, "correct": 0, "spend": 0})
+                agg = self._machine_agg.get(record["profile"])
+                if agg is None:
+                    agg = self._machine_agg[record["profile"]] = {"items": 0, "correct": 0, "spend": 0}
                 agg["items"] += 1
                 agg["correct"] += 1 if record["correct"] else 0
                 agg["spend"] += record["cost"]
@@ -454,7 +500,9 @@ def _verdicts(
 
 
 def _class_bucket(agg: dict[str, dict[str, float]], name: str) -> dict[str, float]:
-    return agg.setdefault(
-        name,
-        {"assignments": 0, "returned": 0, "timed_out": 0, "correct": 0, "service_ticks": 0, "spend": 0},
-    )
+    bucket = agg.get(name)
+    if bucket is None:
+        bucket = agg[name] = {
+            "assignments": 0, "returned": 0, "timed_out": 0, "correct": 0, "service_ticks": 0, "spend": 0
+        }
+    return bucket

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 import yaml
@@ -118,6 +119,31 @@ def test_malformed_override_is_config_error(scenario_file, tmp_path, capsys):
     assert "line" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "s").exists()
+
+
+TOO_MANY_DIGITS = "1" + "0" * 5000  # more digits than int() converts from text
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+@pytest.mark.parametrize("source", ["file", "override"])
+def test_integer_with_too_many_digits_is_not_valid_yaml(scenarios_dir, tmp_path, capsys, source):
+    scenario = scenarios_dir / "minimal.yaml"
+    if source == "file":
+        path = tmp_path / "digits.yaml"
+        text = scenario.read_text(encoding="utf-8").replace("budget: 5.00", f"budget: {TOO_MANY_DIGITS}")
+        path.write_text(text, encoding="utf-8")
+        problem = f"{path}: not valid YAML: Exceeds the limit (4300 digits)"
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"invalid: {problem}") and len(out.splitlines()) == 1
+        argv = ["run", str(path)]
+    else:
+        override = f"slo.budget={TOO_MANY_DIGITS}"
+        problem = f"override {override!r}: not valid YAML: Exceeds the limit (4300 digits)"
+        argv = ["run", str(scenario), "--set", override]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem}") and len(err.splitlines()) == 1
 
 
 def test_run_writes_trace_and_summary(scenario_file, tmp_path, capsys):
@@ -249,6 +275,35 @@ def test_report_record_lacking_a_field_its_kind_needs_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad trace record: {record['kind']!r} record {problem}")
     assert not rep.exists()
+
+
+@pytest.mark.parametrize(
+    "times, problem",
+    [
+        ([50, 10], "at time 10 is earlier than the previous arrival of class 'a'"),
+        ([50, -10**9], "at time -1000000000 is earlier than the previous arrival of class 'a'"),
+        ([-5], "at time -5 is earlier than the run's start"),
+    ],
+    ids=["back", "far-back", "before-start"],
+)
+def test_report_arrival_earlier_than_the_last_is_config_error(scenario_file, tmp_path, capsys, times, problem):
+    trace, lines = _traced(scenario_file, tmp_path)
+    arrivals = [json.dumps({"kind": "worker_arrival", "time": time, "cls": "a"}) + "\n" for time in times]
+    lines[1:1] = arrivals  # right after the header
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: bad trace record: 'worker_arrival' record {problem}\n"
+
+
+def test_report_of_two_traces_in_one_file_is_config_error(scenario_file, tmp_path, capsys):
+    trace, lines = _traced(scenario_file, tmp_path)
+    trace.write_text("".join(lines + lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad trace record: 'worker_arrival' record at time ")
+    assert err.endswith(" is earlier than the previous arrival of class 'crowd'\n")
 
 
 @pytest.mark.parametrize("kind, field", [("header", "seed"), ("run_end", "events")])

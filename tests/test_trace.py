@@ -6,6 +6,7 @@ else rejected with the file and line that broke.
 importable, is a fast path that must give the same bytes and the same
 values.  The tests named `..._on_each_codec` run once on each path."""
 
+import json
 import math
 import os
 import re
@@ -154,6 +155,78 @@ JSON_ONLY_LINES = [
 @pytest.mark.parametrize("line, expected", JSON_ONLY_LINES)
 def test_lines_are_read_as_json_reads_them_on_each_codec(tmp_path, codec, line, expected):
     assert _typed(read_trace(_write(tmp_path, line + "\n"))) == [_typed(expected)]
+
+
+def _reference_trace(path):
+    """The records of a trace file as a text-mode json reader gives them."""
+    decoder = json.JSONDecoder()
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                record, end = decoder.raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"{path}:{line_no}: bad trace record: {exc}") from exc
+            if type(record) is not dict or "kind" not in record:
+                raise ValueError(f"{path}:{line_no}: bad trace record: not an object with a 'kind'")
+            yield record
+
+
+def _outcome(records):
+    """The typed records an iterator yields, and the message it raises or None."""
+    read = []
+    try:
+        for record in records:
+            read.append(_typed(record))
+    except ValueError as exc:
+        return read, str(exc)
+    return read, None
+
+
+# Lines of a hand-made trace: the records slosim writes, and the lines that
+# send a block or a line off the orjson path.
+SOUP_LINES = [
+    b"",
+    b"  \t ",
+    b'{"kind":"header","seed":11,"task_slo":{"accuracy":0.5,"budget_micros":20000000}}',
+    b'{"kind":"poll","risks":["time"],"rate":0.25,"ok":true,"none":null,"time":70000}',
+    b'  {"kind":"a","time":0}  ',
+    '{"kind":"café ☃"}'.encode("utf-8"),
+    b'{"kind":"\xff"}',
+    b'{"kind":"a","v":[18446744073709551616]}',
+    b'{"kind":"a","v":{"w":-18446744073709551617}}',
+    b'{"kind":"a","v":9223372036854775807,"w":1234567890123456789012}',
+    b'{"kind":"a","v":0.0005000000000000001,"w":1.5e-07}',
+    b'{"kind":"a","v":NaN}',
+    b'{"kind":"a","v":1e400}',
+    b'{"kind":"a","v":"\\ud800"}',
+    b'{"kind":"a"} {"kind":"b"}',
+    b'{"kind":',
+    b'"split"}',
+    b'{"time":0}',
+    b"[1]",
+    b"18446744073709551616",
+]
+_soups = st.lists(
+    st.tuples(st.sampled_from(SOUP_LINES), st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=10
+).map(lambda lines: b"".join(line + end for line, end in lines))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3, 7, 64])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(soup=_soups, final_newline=st.booleans())
+def test_reader_matches_a_text_mode_json_reader_on_each_codec(
+    tmp_path, monkeypatch, codec, block_bytes, soup, final_newline
+):
+    monkeypatch.setattr(slosim.trace, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(soup if final_newline else soup.rstrip(b"\r\n"))
+    assert _outcome(iter_trace(path)) == _outcome(_reference_trace(path))
 
 
 # One value per record, so that no other value sends the record to `_encode`.
