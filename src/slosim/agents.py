@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,15 @@ class ServiceTime:
         else:
             raise ValueError(f"unknown service time family: {self.family!r}")
 
+    @cached_property
+    def _log_median(self) -> float:
+        # a cached_property is not a field: equality, asdict and the digest
+        # never see it, and it is computed on the first draw, not at load
+        return np.log(self.median)
+
     def sample(self, rng: np.random.Generator) -> float:
         if self.family == "lognormal":
-            return float(rng.lognormal(mean=np.log(self.median), sigma=self.sigma))
+            return float(rng.lognormal(self._log_median, self.sigma))
         if self.family == "exponential":
             return float(rng.exponential(self.mean))
         return float(self.value)
@@ -127,6 +134,8 @@ def answer_microtask(
     if rng.random() < accuracy:
         return truth
     wrong = [label for label in answer_domain if label != truth]
+    if len(wrong) == 1:
+        return wrong[0]  # integers(1) would draw nothing from the stream
     return wrong[int(rng.integers(len(wrong)))]
 
 
@@ -243,6 +252,9 @@ class AgentPool:
 
     def idle_workers(self) -> list[str]:
         return list(self._available)
+
+    def has_idle_workers(self) -> bool:
+        return bool(self._available)
 
     def class_of(self, agent_id: str) -> WorkerClass:
         return self._by_class[self._registry[agent_id].class_name]

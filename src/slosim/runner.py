@@ -42,7 +42,7 @@ from .tasks import (
 )
 from .trace import NodeSummary, RunSummary, TraceWriter
 from .units import TICKS_PER_UNIT, to_ticks, to_units
-from .voting import ConsensusResult, ConsensusStatus, VoteSet, majority_vote, node_consensus_rate
+from .voting import ConsensusResult, ConsensusStatus, decide
 from .workflow import AgentTag, WorkflowGraph, WorkflowNode, derive_node_slos, ready_nodes, validate
 
 RejectPredicate = Callable[[str, str, str], bool]
@@ -82,6 +82,7 @@ class _NodeRun:
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
         self.results: dict[str, ConsensusResult] = {}
+        self.agreed = 0  # results that reached consensus
         self.final: set[str] = set()
         self.no_consensus_pending: set[str] = set()
         self.evaluated_at_last_poll = 0
@@ -98,6 +99,11 @@ class _NodeRun:
     @property
     def evaluated_count(self) -> int:
         return len(self.final)
+
+    @property
+    def consensus_rate(self) -> float:
+        """`node_consensus_rate(self.results.values())`, from the running count."""
+        return self.agreed / len(self.results) if self.results else 0.0
 
     def reopen(self, microtask_id: str) -> None:
         i = bisect.bisect_left(self.open_wtasks, microtask_id)
@@ -127,13 +133,25 @@ class _NodeRun:
 class _MachineStation:
     def __init__(self, profile: MachineAgentProfile):
         self.profile = profile
+        self.capacity = profile.capacity
         self.cost_micros = profile.cost_micros
+        self.service_ticks = max(1, to_ticks(profile.service_time_per_item))
         self.in_flight: dict[int, tuple[str, SimEvent]] = {}  # ticket -> (node id, done event)
         self.tickets = itertools.count(1)
 
-    @property
-    def free_capacity(self) -> int:
-        return self.profile.capacity - len(self.in_flight)
+
+class _Streams(dict):
+    """The random streams of one kind, by worker class or machine profile
+    name; each is taken from the simulation on its first draw."""
+
+    def __init__(self, sim: Simulation, prefix: str):
+        super().__init__()
+        self.sim = sim
+        self.prefix = prefix
+
+    def __missing__(self, name: str):
+        stream = self[name] = self.sim.rng(self.prefix + name)
+        return stream
 
 
 class ExecutionEngine:
@@ -175,7 +193,14 @@ class ExecutionEngine:
         self.base_reward_micros = config.reward_micros
         self.min_reward_by_class = {w.name: w.min_reward_micros for w in pool.workers}
         self.runs: dict[str, _NodeRun] = {}
+        self._active: list[_NodeRun] = []  # the unfinished runs, in node-id order
+        self._unfinished = len(graph.nodes)  # nodes not yet finalized, active or not
         self._arrival_pending: dict[str, bool] = {}
+        self._arrival_rngs = _Streams(sim, "arrivals/")
+        self._service_rngs = _Streams(sim, "service/")
+        self._answer_rngs = _Streams(sim, "answers/")
+        self._retention_rngs = _Streams(sim, "retention/")
+        self._machine_answer_rngs = _Streams(sim, "answers/machine/")
         # keyed by profile name and in name order: dispatch takes the first free one
         self.stations = {
             profile.name: _MachineStation(profile)
@@ -201,13 +226,6 @@ class ExecutionEngine:
             "deadline_ticks": slo.deadline_ticks,
         }
 
-    def _active_runs(self) -> list[_NodeRun]:
-        return [
-            self.runs[node_id]
-            for node_id in sorted(self.runs)
-            if not self.runs[node_id].finished
-        ]
-
     # -- run ------------------------------------------------------------------
 
     def run(self) -> RunSummary:
@@ -230,14 +248,15 @@ class ExecutionEngine:
             self._schedule_arrival(worker_class.name)
         self._activate_ready()
 
-        while not self._all_finished():
+        sim = self.sim
+        while self._unfinished:
             try:
-                event = self.sim.step()
+                event = sim.step()
             except (EmptyQueue, HorizonExceeded):
                 break
             event.handler(self, *event.args)
 
-        for run in self._active_runs():
+        for run in list(self._active):
             self._finalize_node(run)
         finish = max((r.finish_tick or 0 for r in self.runs.values()), default=0)
         self._emit_ledger(
@@ -246,11 +265,6 @@ class ExecutionEngine:
             events=self.sim.end_report(),
         )
         return self.writer.reducer.result()
-
-    def _all_finished(self) -> bool:
-        return len(self.runs) == len(self.graph.nodes) and all(
-            run.finished for run in self.runs.values()
-        )
 
     # -- node activation ------------------------------------------------------
 
@@ -267,6 +281,7 @@ class ExecutionEngine:
         slo = self.node_slos[node_id]
         run = _NodeRun(node, slo, self.config, window_start=now)
         self.runs[node_id] = run
+        bisect.insort(self._active, run, key=lambda r: r.node.id)
 
         n = node.microtask_count
         if node.agent_tag is AgentTag.HUMAN_ONLY:
@@ -352,7 +367,7 @@ class ExecutionEngine:
         rate = self.pool.effective_rate(class_name)
         if rate <= 0:
             return
-        rng = self.sim.rng(f"arrivals/{class_name}")
+        rng = self._arrival_rngs[class_name]
         delay = max(1, to_ticks(self.pool.sample_interarrival(class_name, rng)))
         if self.sim.now + delay > self.sim.horizon:
             return
@@ -373,10 +388,12 @@ class ExecutionEngine:
         # sweep over the idle workers fills every slot they can take.  For
         # the same reason a node whose reward exceeds the headroom now cannot
         # place anyone in this dispatch, and is left out before the sweep.
+        if not self.pool.has_idle_workers():
+            return
         now = self.sim.now
         headroom = self.ledger.headroom_micros
         candidates = []
-        for run in self._active_runs():
+        for run in self._active:
             if now >= run.deadline or not run.open_wtasks:
                 continue
             reward = run.state.current_reward_micros(self.base_reward_micros)
@@ -434,7 +451,7 @@ class ExecutionEngine:
             cls=worker_class.name,
             reward=reward,
         )
-        service_rng = self.sim.rng(f"service/{worker_class.name}")
+        service_rng = self._service_rngs[worker_class.name]
         service = max(1, to_ticks(worker_class.service_time.sample(service_rng)))
         self.sim.schedule(
             self.sim.now + service, ExecutionEngine._on_return, run.node.id, mt_id, agent_id
@@ -451,7 +468,7 @@ class ExecutionEngine:
             return
 
         truth = run.microtasks[mt_id].truth
-        answer_rng = self.sim.rng(f"answers/{worker_class.name}")
+        answer_rng = self._answer_rngs[worker_class.name]
         domain = run.node.answer_domain
         answer = answer_microtask(worker_class.accuracy, domain, truth, answer_rng)
 
@@ -502,7 +519,7 @@ class ExecutionEngine:
         )
 
     def _release_worker(self, agent_id: str, worker_class: WorkerClass) -> None:
-        retention_rng = self.sim.rng(f"retention/{worker_class.name}")
+        retention_rng = self._retention_rngs[worker_class.name]
         stays = bool(retention_rng.random() < worker_class.retention)
         self.pool.release(agent_id, stays)
 
@@ -552,16 +569,18 @@ class ExecutionEngine:
         microtask = run.microtasks[mt_id]
         if microtask.route is Route.HUMAN:
             wtask = run.wtasks.get(mt_id)
-            votes = tuple(wtask.votes()) if wtask is not None else ()
+            votes = wtask.votes() if wtask is not None else []
         else:
-            votes = tuple(microtask.machine_votes)
-        result = majority_vote(
-            VoteSet(mt_id, votes, run.node.answer_domain), rule=self.config.vote_rule
-        )
-        if result.status is ConsensusStatus.EMPTY:
-            return  # nothing to evaluate; stays incomplete unless votes arrive
+            votes = microtask.machine_votes
+        result = decide(mt_id, votes, run.node.answer_domain, self.config.vote_rule)
+        if result is None:
+            return  # no votes: stays incomplete unless votes arrive
+        # a consensus is final, so this replaces at most an escalated NO_CONSENSUS
         run.results[mt_id] = result
-        is_final = final or result.status is ConsensusStatus.CONSENSUS
+        agreed = result.status is ConsensusStatus.CONSENSUS
+        if agreed:
+            run.agreed += 1
+        is_final = final or agreed
         if is_final:
             run.final.add(mt_id)
             run.no_consensus_pending.discard(mt_id)
@@ -595,17 +614,18 @@ class ExecutionEngine:
             if self.sim.now >= run.deadline:
                 self.machine_queue.popleft()
                 continue
-            station = next((s for s in self.stations.values() if s.free_capacity > 0), None)
-            if station is None:
-                return
+            for station in self.stations.values():
+                if len(station.in_flight) < station.capacity:
+                    break
+            else:
+                return  # every station is full
             cost = station.cost_micros
             if not self.ledger.commit(cost):
                 return  # head of line blocks until budget frees up
             self.machine_queue.popleft()
-            service = max(1, to_ticks(station.profile.service_time_per_item))
             ticket = next(station.tickets)
             event = self.sim.schedule(
-                self.sim.now + service,
+                self.sim.now + station.service_ticks,
                 ExecutionEngine._on_machine_done,
                 node_id,
                 mt_id,
@@ -628,7 +648,7 @@ class ExecutionEngine:
         run = self.runs[node_id]
         profile = station.profile
         microtask = run.microtasks[mt_id]
-        answer_rng = self.sim.rng(f"answers/machine/{profile.name}")
+        answer_rng = self._machine_answer_rngs[profile.name]
         domain = run.node.answer_domain
         answer = answer_microtask(profile.accuracy, domain, microtask.truth, answer_rng)
         self.ledger.settle_return(station.cost_micros)
@@ -664,7 +684,7 @@ class ExecutionEngine:
             run.state.completion_rate = 0.0
 
         now_units = min(to_units(now), run.slo.deadline)
-        rate = node_consensus_rate(run.results.values())
+        rate = run.consensus_rate
         reward = run.state.current_reward_micros(self.base_reward_micros)
         risks = assess_risk(
             run.state,
@@ -725,7 +745,7 @@ class ExecutionEngine:
             self._dispatch_workers()
         elif action.kind == "raise_incentive":
             run.state.incentive_multiplier = action.params["multiplier"]
-            peak = max(r.state.incentive_multiplier for r in self._active_runs())
+            peak = max(r.state.incentive_multiplier for r in self._active)
             self.pool.apply_incentive(peak)
             self._dispatch_workers()  # idle workers may now meet their price
         elif action.kind == "reduce_ratio":
@@ -778,6 +798,8 @@ class ExecutionEngine:
     def _finalize_node(self, run: _NodeRun) -> None:
         now = self.sim.now
         run.finish_tick = now
+        self._active.remove(run)
+        self._unfinished -= 1
 
         # kill outstanding human assignments; workers free themselves on return
         for mt_id in sorted(run.wtasks):
@@ -807,17 +829,13 @@ class ExecutionEngine:
             if event.fire_at > now:
                 self.sim.cancel(event)
 
-        agreed = sum(
-            1
-            for mt in run.final
-            if run.results[mt].status is ConsensusStatus.CONSENSUS
-        )
+        # every result is final now, so the running count is the node's consensus count
         self.emit(
             "node_end",
             node=run.node.id,
             evaluated=run.evaluated_count,
-            consensus=agreed,
-            no_consensus=run.evaluated_count - agreed,
+            consensus=run.agreed,
+            no_consensus=run.evaluated_count - run.agreed,
             incomplete=run.node.microtask_count - run.evaluated_count,
             finish=now,
             spend=run.spend_micros,

@@ -116,15 +116,19 @@ class Simulation:
         the next event would fire past the horizon (the run is over; unfired
         events are accounted for in end_report()).
         """
-        next_time = self.peek_time()
-        if next_time is None:
-            raise EmptyQueue()
-        if next_time > self.horizon:
-            raise HorizonExceeded()
-        _, _, event = heapq.heappop(self._queue)
-        self.now = event.fire_at
-        self.fired_count += 1
-        return event
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            event = entry[2]
+            if event.cancelled:
+                continue
+            if event.fire_at > self.horizon:
+                heapq.heappush(queue, entry)  # it stays queued and unfired
+                raise HorizonExceeded()
+            self.now = event.fire_at
+            self.fired_count += 1
+            return event
+        raise EmptyQueue()
 
     def end_report(self) -> dict[str, int]:
         """Event conservation counters at termination; every scheduled event

@@ -293,11 +293,12 @@ class SummaryReducer:
 
     def add(self, record: dict[str, Any]) -> None:
         """Fold one record in.  A record that lacks a field its kind needs, or
-        holds one of the wrong type, raises ValueError naming its kind; the
-        header, node_start and run_end records are kept whole and read by
-        `result`, which checks them the same way."""
-        kind = record["kind"]
+        holds one of the wrong type, raises ValueError naming its kind, and so
+        does one whose kind is missing or not a string; the header,
+        node_start and run_end records are kept whole and read by `result`,
+        which checks them the same way."""
         try:
+            kind = record["kind"]
             if kind == "header":
                 self._header = record
             elif kind == "node_start":
@@ -337,6 +338,8 @@ class SummaryReducer:
                 agg["spend"] += record["cost"]
             elif kind == "run_end":
                 self._run_end = record
+            elif type(kind) is not str:
+                raise TypeError(f"'kind' is {kind!r}, not a string")
         except (KeyError, TypeError) as exc:
             raise bad_record(record, exc) from exc
 
@@ -456,7 +459,9 @@ def bad_record(record: dict[str, Any], exc: Exception) -> ValueError:
         problem = f"has no field {exc.args[0]!r}"
     else:
         problem = f"has a field of the wrong type: {exc}"
-    return ValueError(f"bad trace record: {record['kind']!r} record {problem}")
+    kind = record.get("kind")
+    name = f"{kind!r} record" if type(kind) is str else "record"
+    return ValueError(f"bad trace record: {name} {problem}")
 
 
 def _read(record: dict[str, Any], fields: Callable[[dict[str, Any]], tuple]) -> tuple:

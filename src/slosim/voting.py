@@ -3,13 +3,14 @@ closed-form accuracy of a strict majority (a binomial tail).
 
 The default rule is a strict majority: a label wins only if it holds more
 than half of all returned votes.  A plurality rule (unique top count wins)
-is available behind a flag for scenarios that want it.
+is available behind a flag for scenarios that want it.  `decide` is the
+engine's entry: it settles no votes and one vote in closed form and counts
+only two or more.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -33,9 +34,11 @@ class VoteSet:
         allowed = set(self.domain)
         for vote in self.votes:
             if vote not in allowed:
-                raise ValueError(
-                    f"vote {vote!r} outside answer domain {list(self.domain)}"
-                )
+                raise outside_domain(vote, self.domain)
+
+
+def outside_domain(vote: str, domain: tuple[str, ...]) -> ValueError:
+    return ValueError(f"vote {vote!r} outside answer domain {list(domain)}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,9 @@ def majority_vote(votes: VoteSet, rule: str = "majority") -> ConsensusResult:
     if total == 0:
         return ConsensusResult(votes.microtask_id, None, 0.0, ConsensusStatus.EMPTY)
 
-    counts = Counter(votes.votes)
+    counts: dict[str, int] = {}
+    for vote in votes.votes:
+        counts[vote] = counts.get(vote, 0) + 1
     top_label, top_count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     support = top_count / total
 
@@ -70,6 +75,26 @@ def majority_vote(votes: VoteSet, rule: str = "majority") -> ConsensusResult:
     if won:
         return ConsensusResult(votes.microtask_id, top_label, support, ConsensusStatus.CONSENSUS)
     return ConsensusResult(votes.microtask_id, None, support, ConsensusStatus.NO_CONSENSUS)
+
+
+def decide(
+    microtask_id: str, votes: list[str], domain: tuple[str, ...], rule: str
+) -> ConsensusResult | None:
+    """`majority_vote(VoteSet(microtask_id, votes, domain), rule)`, or None
+    where that is EMPTY.
+
+    No votes decide nothing, and one vote is a consensus of support 1.0
+    under either rule (it is more than half of one, and a unique top count);
+    neither builds a vote set.  Two or more votes are counted.
+    """
+    if not votes:
+        return None
+    if len(votes) == 1:
+        vote = votes[0]
+        if vote not in domain:
+            raise outside_domain(vote, domain)
+        return ConsensusResult(microtask_id, vote, 1.0, ConsensusStatus.CONSENSUS)
+    return majority_vote(VoteSet(microtask_id, tuple(votes), domain), rule=rule)
 
 
 def node_consensus_rate(results: Iterable[ConsensusResult]) -> float:

@@ -277,6 +277,20 @@ def test_report_record_lacking_a_field_its_kind_needs_is_config_error(
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("kind", [[1], 7, None, {"k": "header"}], ids=["list", "int", "null", "object"])
+def test_report_record_whose_kind_is_not_a_string_is_config_error(scenario_file, tmp_path, capsys, kind):
+    trace, lines = _traced(scenario_file, tmp_path)
+    lines.insert(1, json.dumps({"kind": kind, "time": 5}) + "\n")  # right after the header
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    assert main(["report", str(trace), "--format", "csv", "--out", str(rep)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad trace record: record has a field of the wrong type: 'kind' is {kind!r}, not a string\n"
+    )
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize(
     "times, problem",
     [

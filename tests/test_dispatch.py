@@ -12,7 +12,7 @@ from slosim.scenario import load_scenario, scenario_from_dict
 from slosim.sim import Simulation
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter
-from slosim.units import to_micros
+from slosim.units import to_micros, to_ticks
 from slosim.workflow import AgentTag, WorkflowGraph, WorkflowNode
 
 from conftest import SCENARIOS_DIR
@@ -197,3 +197,68 @@ def test_exhausted_budget_dispatch_makes_no_commit_call(monkeypatch):
     assert engine.runs["n"].open_wtasks == ["n:00000"]
     assert not any(r["kind"] == "assignment_issued" for r in engine.writer.records)
     assert engine.ledger.headroom_micros == to_micros(0.01)
+
+
+# -- active runs ---------------------------------------------------------------------
+
+
+def _z_a_m_engine(*, z_count: int, a_deadline: float) -> ExecutionEngine:
+    """Nodes z -> a plus an independent m, all human-only: a's id sorts first
+    but it activates last, when z ends.  Workers are slow enough that
+    nothing returns before the task deadline, so z runs to its deadline."""
+    task = SloSpec(accuracy_target=0.5, budget=5.0, deadline=100.0)
+
+    def node(node_id: str, count: int, deadline: float) -> WorkflowNode:
+        slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=deadline)
+        return WorkflowNode(
+            id=node_id, microtask_count=count, answer_domain=("yes", "no"),
+            agent_tag=AgentTag.HUMAN_ONLY, slo=slo,
+        )
+
+    pool = AgentPool(
+        workers=(
+            WorkerClass(
+                name="w", accuracy=0.9, arrival_rate=0.5,
+                service_time=ServiceTime(family="fixed", value=1000.0), retention=1.0,
+            ),
+        ),
+        machines=(),
+    )
+    graph = WorkflowGraph(
+        nodes=(node("z", z_count, 50.0), node("a", 2, a_deadline), node("m", 2, 20.0)),
+        edges=frozenset({("z", "a")}),
+        task_slo=task,
+    )
+    return ExecutionEngine(
+        name="active-runs",
+        graph=graph,
+        config=ControllerConfig(replication_w=1),
+        pool=pool,
+        sim=Simulation(seed=1, horizon=task.deadline_ticks),
+        writer=TraceWriter(None),
+    )
+
+
+def test_an_idle_worker_is_offered_to_the_active_runs_in_node_id_order():
+    engine = _z_a_m_engine(z_count=0, a_deadline=60.0)
+    engine._activate_ready()  # m, then z, which has nothing to do, so a
+    starts = [r["node"] for r in engine.writer.records if r["kind"] == "node_start"]
+    assert starts == ["m", "z", "a"]
+    agent = engine.pool.admit("w")
+    engine._dispatch_workers()
+    issued = [r for r in engine.writer.records if r["kind"] == "assignment_issued"]
+    assert [(r["node"], r["microtask"], r["agent"]) for r in issued] == [("a", "a:00000", agent)]
+
+
+def test_the_run_stops_when_the_last_node_finalizes_at_its_activation():
+    # z ends at its deadline t=50, past a's own deadline t=10, so a is
+    # finalized as it activates; worker arrivals are still queued then
+    engine = _z_a_m_engine(z_count=1, a_deadline=10.0)
+    engine.run()
+    records = engine.writer.records
+    ends = [(r["node"], r["time"]) for r in records if r["kind"] == "node_end"]
+    assert ends == [("m", to_ticks(20.0)), ("z", to_ticks(50.0)), ("a", to_ticks(50.0))]
+    a_start = next(i for i, r in enumerate(records) if r["kind"] == "node_start" and r["node"] == "a")
+    assert [r["kind"] for r in records[a_start:]] == ["node_start", "node_end", "run_end"]
+    assert records[-1]["time"] == to_ticks(50.0)
+    assert engine.sim.peek_time() is not None  # the loop did not drain the queue

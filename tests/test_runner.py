@@ -2,19 +2,23 @@ import gc
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import slosim.runner
 from slosim.agents import AgentPool, MachineAgentProfile, ServiceTime, WorkerClass
-from slosim.controller import ControllerConfig
+from slosim.controller import ControllerConfig, assess_risk
 from slosim.runner import ExecutionEngine, _NodeRun, run, run_node
 from slosim.scenario import load_scenario, scenario_from_dict
 from slosim.sim import SimEvent, Simulation
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter, read_trace, summarize
 from slosim.units import to_ticks
+from slosim.voting import node_consensus_rate
 from slosim.workflow import AgentTag, WorkflowNode
 
 from conftest import SCENARIOS_DIR
+from test_acceptance import _random_budget_scenario
 
 
 def run_raw(raw, **kwargs):
@@ -372,18 +376,80 @@ def test_run_terminates_by_deadline(scenario_dict):
     assert result.summary.evaluated + result.summary.incomplete == 20
 
 
-def test_accuracy_risk_escalates_lowest_ids_first(scenario_dict):
+def _low_accuracy_crowd(scenario_dict) -> dict:
+    """Workers barely better than chance against a 0.99 accuracy target, so
+    the controller escalates NO_CONSENSUS microtasks for more votes."""
     raw = scenario_dict()
     raw["slo"] = {"accuracy_target": 0.99, "budget": 50.0, "deadline": 400}
     raw["workflow"]["nodes"][0].update(
         {"agent_tag": "human_only", "microtask_count": 40, "answer_domain": ["a", "b", "c"]}
     )
     raw["workers"][0].update({"accuracy": 0.34, "arrival_rate": 2.0, "retention": 0.9})
-    result = run_raw(raw)
+    return raw
+
+
+def test_accuracy_risk_escalates_lowest_ids_first(scenario_dict):
+    result = run_raw(_low_accuracy_crowd(scenario_dict))
     escalations = [r for r in result.records if r["kind"] == "escalated"]
     assert escalations, "low-accuracy crowd must trigger vote escalation"
     ids = [r["microtask"] for r in escalations]
     assert ids == sorted(ids) or len(set(ids)) < len(ids)  # ascending per round
+
+
+def _replaced_after_escalation(records) -> set[str]:
+    """Microtasks whose NO_CONSENSUS result was replaced by a later vote
+    after an escalation."""
+    pending: set[str] = set()
+    escalated: set[str] = set()
+    replaced: set[str] = set()
+    for record in records:
+        if record["kind"] == "escalated" and record["microtask"] in pending:
+            escalated.add(record["microtask"])
+        elif record["kind"] == "vote_result":
+            microtask = record["microtask"]
+            if microtask in escalated:
+                replaced.add(microtask)
+            if record["status"] == "no_consensus" and not record["final"]:
+                pending.add(microtask)
+            escalated.discard(microtask)
+    return replaced
+
+
+@pytest.mark.parametrize("source", [*sorted(p.stem for p in SCENARIOS_DIR.glob("*.yaml")), "c05", "escalation"])
+def test_poll_consensus_rate_equals_a_recount_of_the_results(source, scenario_dict, monkeypatch):
+    # the engine keeps a running count of agreed results; at every poll the
+    # rate it hands to assess_risk must be the recount over all results
+    node_runs = []
+    init = _NodeRun.__init__
+
+    def registering(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        node_runs.append(self)
+
+    polls = []
+
+    def recounting(state, slo, now, n_total, n_evaluated, consensus_rate, *rest):
+        (node_run,) = [r for r in node_runs if r.state is state]
+        assert consensus_rate == node_consensus_rate(node_run.results.values())
+        polls.append(consensus_rate)
+        return assess_risk(state, slo, now, n_total, n_evaluated, consensus_rate, *rest)
+
+    monkeypatch.setattr(_NodeRun, "__init__", registering)
+    monkeypatch.setattr(slosim.runner, "assess_risk", recounting)
+    if source == "c05":
+        rng = np.random.default_rng(424242)
+        scenarios = [scenario_from_dict(_random_budget_scenario(rng)) for _ in range(30)]
+    elif source == "escalation":
+        scenarios = [scenario_from_dict(_low_accuracy_crowd(scenario_dict))]
+    else:
+        scenarios = [load_scenario(SCENARIOS_DIR / f"{source}.yaml")]
+    replaced = set()
+    for scenario in scenarios:
+        replaced |= _replaced_after_escalation(run(scenario).records)
+    assert polls
+    if source == "escalation":
+        assert replaced, "an escalation must replace a NO_CONSENSUS result"
+        assert 0.0 < min(polls) < 1.0
 
 
 def test_plurality_rule_flows_through_scenario(scenario_dict):

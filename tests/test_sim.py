@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slosim.agents import ServiceTime
 from slosim.sim import EmptyQueue, HorizonExceeded, Simulation, seeded_rng
 
 
@@ -139,3 +140,39 @@ def test_batched_bounded_draw_matches_scalar_draws(k, n):
         scalar = seeded_rng(seed, "truth/node")
         assert batched.integers(k, size=n).tolist() == [int(scalar.integers(k)) for _ in range(n)]
         assert batched.random() == scalar.random()
+
+
+# The engine relies on two more numpy facts, checked here so that a numpy
+# upgrade that breaks one fails by name and not only through golden digests.
+
+
+def test_a_draw_from_a_range_of_one_takes_nothing_from_the_stream():
+    # answer_microtask skips integers(1) when one wrong label is left
+    for seed in (0, 1, 20260):
+        drawn = seeded_rng(seed, "answers/crowd")
+        skipped = seeded_rng(seed, "answers/crowd")
+        assert int(drawn.integers(1)) == 0
+        assert drawn.random() == skipped.random()
+
+
+@pytest.mark.parametrize("median, sigma", [(1.0, 0.5), (3.7, 1.2), (0.05, 0.1), (250.0, 2.0)])
+def test_lognormal_with_a_cached_log_median_equals_the_per_call_form(median, sigma):
+    service = ServiceTime(family="lognormal", median=median, sigma=sigma)
+    for seed in (0, 1, 20260):
+        cached = seeded_rng(seed, "service/crowd")
+        per_call = seeded_rng(seed, "service/crowd")
+        assert [service.sample(cached) for _ in range(50)] == [
+            float(per_call.lognormal(mean=np.log(median), sigma=sigma)) for _ in range(50)
+        ]
+
+
+def test_step_skips_cancelled_heads_and_leaves_a_late_event_queued():
+    s = sim(horizon=10)
+    s.cancel(s.schedule(2, handler))
+    s.cancel(s.schedule(3, handler))
+    late = s.schedule(11, handler)
+    with pytest.raises(HorizonExceeded):
+        s.step()
+    assert s.now == 0
+    assert s.peek_time() == late.fire_at
+    assert s.end_report() == {"scheduled": 3, "fired": 0, "cancelled": 2, "unfired": 1}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slosim.trace
-from slosim.trace import TraceWriter, _encode, dump_record, iter_trace, read_trace
+from slosim.trace import TraceWriter, _encode, dump_record, iter_trace, read_trace, summarize
 
 
 def _write(tmp_path, text):
@@ -338,3 +338,18 @@ assert trace.read_trace(path) == [record]
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({}, "has no field 'kind'"),
+        ({"time": 5}, "has no field 'kind'"),
+        ({"kind": [1], "time": 5}, "has a field of the wrong type: 'kind' is [1], not a string"),
+        ({"kind": 3}, "has a field of the wrong type: 'kind' is 3, not a string"),
+    ],
+)
+def test_summarize_names_a_record_whose_kind_is_missing_or_not_a_string(record, problem):
+    with pytest.raises(ValueError) as excinfo:
+        summarize([record])
+    assert str(excinfo.value) == f"bad trace record: record {problem}"

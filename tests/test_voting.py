@@ -10,6 +10,7 @@ from slosim.agents import invert_majority_accuracy
 from slosim.voting import (
     ConsensusStatus,
     VoteSet,
+    decide,
     majority_accuracy_analytic,
     majority_vote,
     node_consensus_rate,
@@ -107,6 +108,34 @@ def test_adding_vote_for_decision_keeps_decision(labels):
         return
     after = majority_vote(votes(*labels, before.decision))
     assert after.decision == before.decision
+
+
+@st.composite
+def _short_vote_lists(draw):
+    """A domain of 2-6 labels and a list of at most one vote, which may lie
+    outside the domain."""
+    domain = tuple(draw(st.lists(st.sampled_from(DOMAIN6), min_size=2, max_size=6, unique=True)))
+    label = st.sampled_from(domain) | st.sampled_from(("zz", "l7", ""))
+    return domain, draw(st.lists(label, max_size=1))
+
+
+@settings(max_examples=300)
+@given(_short_vote_lists(), st.sampled_from(["majority", "plurality"]))
+def test_closed_form_decisions_match_the_counted_vote(case, rule):
+    domain, labels = case
+    try:
+        expected = majority_vote(VoteSet("mt", tuple(labels), domain), rule=rule)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            decide("mt", labels, domain, rule)
+        assert str(excinfo.value) == str(exc)
+        return
+    got = decide("mt", labels, domain, rule)
+    if expected.status is ConsensusStatus.EMPTY:
+        assert got is None
+    else:
+        assert got == expected
+        assert repr(got) == repr(expected)  # a support of 1 would write as 1, not 1.0
 
 
 def test_consensus_rate_examples():
