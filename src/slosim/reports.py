@@ -55,18 +55,19 @@ def arrival_histogram(records: Iterable[dict[str, Any]], bins: int = DEFAULT_BIN
     """Inter-arrival histogram per worker class, from worker_arrival records."""
     arrivals: dict[str, list[int]] = {}
     for record in records:
-        if record["kind"] == "worker_arrival":
-            try:
-                times = arrivals.setdefault(record["cls"], [])
-                time = record["time"]
-                if time < (times[-1] if times else 0):
-                    since = f"the previous arrival of class {record['cls']!r}" if times else "the run's start"
-                    raise ValueError(
-                        f"bad trace record: 'worker_arrival' record at time {time} is earlier than {since}"
-                    )
-                times.append(time)
-            except (KeyError, TypeError) as exc:
-                raise bad_record(record, exc) from exc
+        try:
+            if record["kind"] != "worker_arrival":
+                continue
+            times = arrivals.setdefault(record["cls"], [])
+            time = record["time"]
+            if time < (times[-1] if times else 0):
+                since = f"the previous arrival of class {record['cls']!r}" if times else "the run's start"
+                raise ValueError(
+                    f"bad trace record: 'worker_arrival' record at time {time} is earlier than {since}"
+                )
+            times.append(time)
+        except (KeyError, TypeError) as exc:
+            raise bad_record(record, exc) from exc
 
     rows = []
     for cls in sorted(arrivals):
@@ -101,9 +102,9 @@ def control_series(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     """Per-poll controller snapshot: routing ratio, completion rate, risks."""
     rows = []
     for record in records:
-        if record["kind"] != "poll":
-            continue
         try:
+            if record["kind"] != "poll":
+                continue
             rows.append(
                 {
                     "time": record["time"] / TICKS_PER_UNIT,

@@ -18,6 +18,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Literal
 
 import yaml
+from yaml.constructor import SafeConstructor
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .agents import MachineAgentProfile, ServiceTime, WorkerClass
 from .controller import ControllerConfig
@@ -26,9 +28,71 @@ from .workflow import AgentTag, WorkflowGraph, WorkflowNode, validate
 
 SCHEMA_VERSION = 1
 
-# libyaml's scanner and parser when PyYAML was built with them; the resolver
-# and constructor are PyYAML's Python code either way, so values are equal.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_TAG = "tag:yaml.org,2002:"
+_STR, _MAP, _SEQ = _TAG + "str", _TAG + "map", _TAG + "seq"
+_KEY_TAGS = frozenset(_TAG + kind for kind in ("str", "int", "float", "bool", "null"))
+
+
+class _NotPlain(Exception):
+    """The document holds a node that the plain builder leaves to PyYAML."""
+
+
+class _PlainDocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml's scanner and parser when PyYAML was
+    built with them, that builds a plain document itself.
+
+    A plain document is maps and lists, each node reached once (no alias),
+    whose keys are str, int, float, bool or null scalars (so no `<<` or `=`
+    key).  Its str scalars are the node's text and its other scalars come
+    from SafeConstructor's own functions, so the value is the one PyYAML
+    builds.  Any other document, and any exception on the way, goes to
+    PyYAML's constructor from the start, which gives its value, its shared
+    alias objects and its errors.  Parsing and tag resolution are PyYAML's
+    either way.
+    """
+
+    plain_scalars = {
+        _TAG + kind: SafeConstructor.yaml_constructors[_TAG + kind]
+        for kind in ("null", "bool", "int", "float", "binary", "timestamp")
+    }
+
+    def construct_document(self, node):
+        try:
+            return self._construct_plain(node, set())
+        except Exception:
+            # PyYAML builds a parent before its nested collections, so of two
+            # errors it may raise another one first; building again lets it
+            # raise its own.  The builder changed no node.
+            return super().construct_document(node)
+
+    def _construct_plain(self, node, seen: set):
+        """The value of `node`, built from the nodes not in `seen`; raises
+        _NotPlain at a node that only PyYAML's constructor builds."""
+        if node in seen:
+            raise _NotPlain
+        seen.add(node)
+        kind = node.__class__
+        tag = node.tag
+        if kind is ScalarNode:
+            return node.value if tag == _STR else self.plain_scalars[tag](self, node)
+        if kind is MappingNode and tag == _MAP:
+            mapping = {}
+            for key_node, value_node in node.value:
+                tag = key_node.tag
+                if tag not in _KEY_TAGS or key_node.__class__ is not ScalarNode or key_node in seen:
+                    raise _NotPlain
+                seen.add(key_node)
+                key = key_node.value if tag == _STR else self.plain_scalars[tag](self, key_node)
+                mapping[key] = self._construct_plain(value_node, seen)
+            return mapping
+        if kind is SequenceNode and tag == _SEQ:
+            return [self._construct_plain(child, seen) for child in node.value]
+        raise _NotPlain
+
+
+YAML_LOADER = _PlainDocumentLoader
+
+
 # PyYAML's constructors raise ValueError for a scalar they cannot build, such
 # as an int of more digits than int() converts or a date with month 13.
 YAML_ERRORS = (yaml.YAMLError, ValueError)

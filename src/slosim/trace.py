@@ -459,7 +459,7 @@ def bad_record(record: dict[str, Any], exc: Exception) -> ValueError:
         problem = f"has no field {exc.args[0]!r}"
     else:
         problem = f"has a field of the wrong type: {exc}"
-    kind = record.get("kind")
+    kind = record.get("kind") if isinstance(record, dict) else None
     name = f"{kind!r} record" if type(kind) is str else "record"
     return ValueError(f"bad trace record: {name} {problem}")
 

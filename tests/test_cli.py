@@ -90,6 +90,17 @@ def test_missing_file_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "report", "sweep"])
+def test_directory_instead_of_a_file_is_config_error(tmp_path, capsys, command):
+    argv = [command, str(tmp_path)]
+    if command == "sweep":
+        argv += ["--param", "seed", "--values", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_yaml_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("schema_version: 1\nworkflow: [1,\n", encoding="utf-8")

@@ -60,6 +60,14 @@ def test_unknown_format_rejected(records):
         report(records, fmt="xml")
 
 
+@pytest.mark.parametrize("table", [arrival_histogram, control_series])
+def test_record_without_a_kind_is_a_bad_record(table):
+    with pytest.raises(ValueError, match=r"^bad trace record: record has no field 'kind'$"):
+        table([{}])
+    with pytest.raises(ValueError, match=r"^bad trace record: record has a field of the wrong type: "):
+        table([[1]])
+
+
 def test_empty_trace_renders_well_formed():
     rows = arrival_histogram([])
     text = render(rows, ARRIVAL_COLUMNS, "csv")

@@ -1,8 +1,10 @@
-import json
 from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
+from yaml.constructor import SafeConstructor
 
 from slosim import scenario as scenario_module
 from slosim.agents import MachineAgentProfile, ServiceTime, WorkerClass
@@ -10,6 +12,7 @@ from slosim.controller import ControllerConfig
 from slosim.runner import run
 from slosim.scenario import (
     ScenarioError,
+    _yaml_error_line,
     apply_overrides,
     load_scenario,
     scenario_from_dict,
@@ -18,6 +21,8 @@ from slosim.scenario import (
 )
 from slosim.slo import SloSpec
 from slosim.workflow import WorkflowNode
+
+from test_acceptance import _random_budget_scenario
 
 SECTION_CLASSES = (
     SloSpec, ControllerConfig, WorkerClass, ServiceTime, MachineAgentProfile, WorkflowNode,
@@ -361,22 +366,132 @@ YAML_EDGE_CASES = {
         "lit: |\n  one\n   two\n\nfold: >-\n  one\n  two\n\n  three\nkeep: |+\n  end\n\n"
     ),
     "quoting": "a: '1'\nb: \"yes\"\nc: 'it''s'\nd: \"tab\\there\"\ne: !!str 12\nf: !!float 3\n",
+    "typed_keys": "1: int\n2.5: float\ntrue: bool\n~: null\n1.0: float one\n.nan: nan\n2001-12-14: date\n",
+    "custom_tag": "a: !foo bar\n",
+    "unhashable_key": "? [1]\n: x\n",
+    "value_key": "a: {=: 1, b: 2}\n",
+    "value_scalar": "a: =\n",
+    "binary": "b: !!binary aGVsbG8=\n",
+    "set": "s: !!set {a, b, 1}\n",
+    "omap": "o: !!omap [a: 1, b: 2]\n",
+    "duplicate_keys": "a: 1\nb: [x]\na: {c: 3}\n",
+    "long_int": "a: " + "1" * 5000 + "\n",
+    "month_13": "d: 2001-13-14\n",
+    # PyYAML fills nested collections after their parent, so the date error
+    # is raised before the one of the int inside the earlier mapping
+    "two_errors": "a: {x: " + "1" * 5000 + "}\nb: 2001-13-14\n",
+    "undefined_alias": "a: [1, *x]\n",
+    "nested_aliases": "base: &b {x: &l [1, 2], y: &s seven}\ncopy: *b\nl: *l\ns: *s\nk: {*s : 1}\n",
+    "recursive_alias": "a: &r [1, *r]\n",
+    "collection_aliases": "a: &l [1, [2]]\nb: *l\nc: &e {}\nd: [*e, *e]\n",
+    "merge_inline": "a:\n  <<: {x: 1, y: 2}\n  y: 3\n",
+    "scalar_document": "3.5\n",
 }
+# libyaml's composer words this error without the alias name, so there the
+# reference is the libyaml loader that the builder's loader is built on
+PARSER_WORDED = {"undefined_alias"}
 
 
-def _as_json(text: str, loader: type) -> str:
-    return json.dumps(yaml.load(text, Loader=loader), sort_keys=True, default=repr)
+def _sharing(value, seen=None) -> list:
+    """Which containers of `value` are one object: each container's first
+    visit gets the next number, and a later visit repeats it."""
+    seen = {} if seen is None else seen
+    if not isinstance(value, (dict, list, set)):
+        return []
+    if id(value) in seen:
+        return [seen[id(value)]]
+    seen[id(value)] = len(seen)
+    shape = [seen[id(value)]]
+    for item in value.values() if isinstance(value, dict) else value:
+        shape += _sharing(item, seen)
+    return shape
+
+
+def _outcome(text: str, loader: type) -> tuple:
+    """The typed value and its sharing, or the error's class and one-line text."""
+    try:
+        value = yaml.load(text, Loader=loader)
+    except scenario_module.YAML_ERRORS as exc:
+        return type(exc).__name__, _yaml_error_line(exc)
+    return "value", repr(value), _sharing(value)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_libyaml_loader_matches_pure_python(scenarios_dir):
-    assert scenario_module.YAML_LOADER is yaml.CSafeLoader
+    assert scenario_module.YAML_LOADER.__bases__ == (yaml.CSafeLoader,)
     paths = sorted(scenarios_dir.glob("*.yaml"))
     texts = {path.name: path.read_text(encoding="utf-8") for path in paths}
     assert texts
     texts.update(YAML_EDGE_CASES)
     for name, text in texts.items():
-        assert _as_json(text, yaml.CSafeLoader) == _as_json(text, yaml.SafeLoader), name
+        reference = yaml.CSafeLoader if name in PARSER_WORDED else yaml.SafeLoader
+        assert _outcome(text, scenario_module.YAML_LOADER) == _outcome(text, reference), name
+
+
+@pytest.mark.parametrize("name", sorted(YAML_EDGE_CASES))
+def test_yaml_loader_matches_its_base_loader(name):
+    """On either base, libyaml's or pure Python's, the loader gives the value,
+    sharing and error of the PyYAML loader that it is built on."""
+    (base,) = scenario_module.YAML_LOADER.__bases__
+    text = YAML_EDGE_CASES[name]
+    assert _outcome(text, scenario_module.YAML_LOADER) == _outcome(text, base)
+
+
+def test_aliases_share_one_object():
+    anchors = yaml.load(YAML_EDGE_CASES["anchors"], Loader=scenario_module.YAML_LOADER)
+    assert anchors["copy"] is anchors["base"]
+    assert anchors["list"][0] is anchors["list"][1] is anchors["base"]
+    nested = yaml.load(YAML_EDGE_CASES["nested_aliases"], Loader=scenario_module.YAML_LOADER)
+    assert nested["copy"] is nested["base"]
+    assert nested["l"] is nested["base"]["x"]
+    assert nested["k"] == {"seven": 1}
+    recursive = yaml.load(YAML_EDGE_CASES["recursive_alias"], Loader=scenario_module.YAML_LOADER)
+    assert recursive["a"][1] is recursive["a"]
+
+
+_plain_keys = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_plain_documents = st.recursive(
+    _plain_keys | st.text(max_size=12) | st.dates() | st.binary(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_plain_keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=_plain_documents)
+def test_plain_documents_are_built_as_pyyaml_builds_them(document):
+    """yaml.safe_dump writes these documents plain: the builder takes each one
+    without falling back, and builds PyYAML's value."""
+    text = yaml.safe_dump(document)
+    loader = scenario_module.YAML_LOADER(text)
+    try:
+        node = loader.get_single_node()
+    finally:
+        loader.dispose()
+    built = loader._construct_plain(node, set())
+    assert repr(built) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_shipped_and_fuzz_scenarios_never_reach_pyyaml_constructor(scenarios_dir, tmp_path, monkeypatch):
+    """Every shipped scenario and a C05 fuzz scenario is a plain document, so
+    none of them is built by PyYAML's generic constructor."""
+    calls = []
+    construct_document = SafeConstructor.construct_document
+
+    def spy(self, node):
+        calls.append(node)
+        return construct_document(self, node)
+
+    monkeypatch.setattr(SafeConstructor, "construct_document", spy)
+    fuzz = tmp_path / "fuzz.yaml"
+    fuzz.write_text(yaml.safe_dump(_random_budget_scenario(np.random.default_rng(424242))), "utf-8")
+    paths = sorted(scenarios_dir.glob("*.yaml")) + [fuzz]
+    for path in paths:
+        load_scenario(path)
+    load_scenario(paths[0], overrides=["seed=3", "controller.replication_w=5"])
+    assert calls == []
+    yaml.load(YAML_EDGE_CASES["anchors"], Loader=scenario_module.YAML_LOADER)
+    assert len(calls) == 1, "the spy does not see PyYAML's constructor"
 
 
 def test_pure_python_fallback_loads_equal_scenarios(scenarios_dir, monkeypatch):
