@@ -21,6 +21,7 @@ from .controller import (
     BudgetLedger,
     ControllerConfig,
     ControllerState,
+    PollObservation,
     RiskFlag,
     assess_risk,
     partition,
@@ -80,6 +81,7 @@ __all__ = [
     "MachineAgentProfile",
     "Microtask",
     "NodeOutcome",
+    "PollObservation",
     "RiskFlag",
     "Route",
     "RunResult",

@@ -2,8 +2,9 @@
 assessment, budget accounting and corrective-action planning.
 
 The controller is a deterministic state machine advanced only at polling
-instants and on exception events (timeouts).  All decisions are pure
-functions of (state, observations, config) so traces are reproducible.
+instants and on exception events (timeouts).  Each poll reads one
+`PollObservation`; every decision is a pure function of it and the config,
+and only the engine writes `ControllerState`, so traces are reproducible.
 """
 
 from __future__ import annotations
@@ -97,13 +98,32 @@ class ControllerConfig:
 @dataclass
 class ControllerState:
     hm_ratio: float
-    ewma_alpha: float = 0.5
     completion_rate: float | None = None  # EWMA, microtasks per time unit
-    n_human: int = 0
+    n_human: int = 0  # human-routed microtasks not yet decided
     incentive_multiplier: float = 1.0
 
     def current_reward_micros(self, base_reward_micros: int) -> int:
         return _scaled_reward_micros(base_reward_micros, self.incentive_multiplier)
+
+
+@dataclass(frozen=True)
+class PollObservation:
+    """Every value the controller reads at one poll of one node."""
+
+    now: float  # time units, capped at the node deadline
+    total: int
+    evaluated: int
+    consensus_rate: float
+    completion_rate: float  # EWMA, microtasks per time unit
+    hm_ratio: float
+    incentive_multiplier: float
+    headroom_micros: int
+    reward_micros: int  # the node's reward at its current multiplier
+    timed_out_slots: int
+    unresolved_human: int
+    unpicked_human: int
+    no_consensus_ids: tuple[str, ...]  # sorted
+    reroutable: bool  # false for nodes pinned to one agent kind
 
 
 def _scaled_reward_micros(base_reward_micros: int, multiplier: float) -> int:
@@ -168,29 +188,17 @@ def partition(n: int, hm_ratio: float) -> tuple[int, int]:
     return n_human, n - n_human
 
 
-def update_rho(state: ControllerState, completed_in_interval: int, interval_length: float) -> float:
-    """Fold one interval's completions into the smoothed completion rate."""
+def update_rho(previous: float | None, completed: int, interval_length: float, alpha: float) -> float:
+    """The smoothed completion rate after folding in one interval's completions."""
     if interval_length <= 0:
         raise ValueError(f"interval length must be > 0: {interval_length}")
-    instantaneous = completed_in_interval / interval_length
-    if state.completion_rate is None:
-        state.completion_rate = instantaneous
-    else:
-        alpha = state.ewma_alpha
-        state.completion_rate = alpha * instantaneous + (1.0 - alpha) * state.completion_rate
-    return state.completion_rate
+    instantaneous = completed / interval_length
+    if previous is None:
+        return instantaneous
+    return alpha * instantaneous + (1.0 - alpha) * previous
 
 
-def assess_risk(
-    state: ControllerState,
-    slo: SloSpec,
-    now: float,
-    n_total: int,
-    n_evaluated: int,
-    consensus_rate_so_far: float,
-    headroom_micros: int,
-    reward_micros: int,
-) -> set[RiskFlag]:
+def assess_risk(obs: PollObservation, slo: SloSpec) -> set[RiskFlag]:
     """Project completion and quality against the SLO at a polling instant.
 
     Time risk: linear projection of evaluated work at the current smoothed
@@ -199,21 +207,20 @@ def assess_risk(
     to trust the rate.  Budget exhaustion: not even one more assignment
     fits under the budget.
     """
-    if now > slo.deadline:
-        raise ValueError(f"poll at {now} past deadline {slo.deadline}")
+    if obs.now > slo.deadline:
+        raise ValueError(f"poll at {obs.now} past deadline {slo.deadline}")
     flags: set[RiskFlag] = set()
 
-    if n_evaluated < n_total:
-        rate = state.completion_rate or 0.0
-        projected = n_evaluated + rate * (slo.deadline - now)
-        if projected < n_total:
+    if obs.evaluated < obs.total:
+        projected = obs.evaluated + obs.completion_rate * (slo.deadline - obs.now)
+        if projected < obs.total:
             flags.add(RiskFlag.TIME_RISK)
 
-    warmup = max(10, math.ceil(0.05 * n_total))
-    if n_evaluated >= warmup and consensus_rate_so_far < slo.accuracy_target:
+    warmup = max(10, math.ceil(0.05 * obs.total))
+    if obs.evaluated >= warmup and obs.consensus_rate < slo.accuracy_target:
         flags.add(RiskFlag.ACCURACY_RISK)
 
-    if headroom_micros < reward_micros:
+    if obs.headroom_micros < obs.reward_micros:
         flags.add(RiskFlag.BUDGET_EXHAUSTED)
 
     return flags
@@ -227,16 +234,7 @@ class Action:
 
 
 def plan_corrective_actions(
-    state: ControllerState,
-    risks: set[RiskFlag],
-    ledger: BudgetLedger,
-    config: ControllerConfig,
-    timed_out_slots: int,
-    unresolved: int,
-    unresolved_human: int,
-    unpicked_human: int,
-    no_consensus_ids: list[str],
-    reroutable: bool = True,
+    obs: PollObservation, risks: set[RiskFlag], config: ControllerConfig
 ) -> list[Action]:
     """Deterministic escalation ladder for one polling instant.
 
@@ -248,7 +246,7 @@ def plan_corrective_actions(
        clear the projection at the same instant), cut the human/machine
        ratio and move unpicked human microtasks to machine agents.  Nodes
        pinned to one agent kind bypass the ratio, so this step is skipped
-       for them (`reroutable` false).
+       for them (`obs.reroutable` false).
     4. Under accuracy risk, grant undecided microtasks one extra vote each,
        lowest microtask id first, while the budget allows.
 
@@ -258,43 +256,31 @@ def plan_corrective_actions(
     if not config.corrections_enabled:
         return actions
 
-    if timed_out_slots > 0:
-        actions.append(Action("reassign", "timeout", {"slots": timed_out_slots}))
+    if obs.timed_out_slots > 0:
+        actions.append(Action("reassign", "timeout", {"slots": obs.timed_out_slots}))
 
     if RiskFlag.TIME_RISK in risks:
-        raised = state.incentive_multiplier * config.incentive_step
+        raised = obs.incentive_multiplier * config.incentive_step
         raised_reward = _scaled_reward_micros(config.reward_micros, raised)
-        if ledger.headroom_micros >= raised_reward:
-            actions.append(
-                Action(
-                    "raise_incentive",
-                    "time_risk",
-                    {"multiplier": raised, "reward_micros": raised_reward},
-                )
-            )
+        if obs.headroom_micros >= raised_reward:
+            params = {"multiplier": raised, "reward_micros": raised_reward}
+            actions.append(Action("raise_incentive", "time_risk", params))
 
-        if reroutable:
+        if obs.reroutable:
             # the projection is unchanged by (1)-(2) at this instant, so time
             # risk persisting means the ratio cut applies now
-            new_ratio = state.hm_ratio * config.hm_ratio_decay
-            want_human, _ = partition(unresolved, new_ratio)
-            moves = min(unpicked_human, max(0, unresolved_human - want_human))
-            actions.append(
-                Action(
-                    "reduce_ratio",
-                    "time_risk",
-                    {"hm_ratio": new_ratio, "reroute": moves},
-                )
-            )
+            new_ratio = obs.hm_ratio * config.hm_ratio_decay
+            want_human, _ = partition(obs.total - obs.evaluated, new_ratio)
+            moves = min(obs.unpicked_human, max(0, obs.unresolved_human - want_human))
+            params = {"hm_ratio": new_ratio, "reroute": moves}
+            actions.append(Action("reduce_ratio", "time_risk", params))
 
-    if RiskFlag.ACCURACY_RISK in risks and no_consensus_ids:
-        reward = state.current_reward_micros(config.reward_micros)
-        quota = len(no_consensus_ids) if reward == 0 else ledger.headroom_micros // reward
-        chosen = sorted(no_consensus_ids)[: max(0, quota)]
+    ids = obs.no_consensus_ids
+    if RiskFlag.ACCURACY_RISK in risks and ids:
+        quota = len(ids) if obs.reward_micros == 0 else obs.headroom_micros // obs.reward_micros
+        chosen = list(ids[: max(0, quota)])
         if chosen:
-            actions.append(
-                Action("escalate", "accuracy_risk", {"microtasks": chosen})
-            )
+            actions.append(Action("escalate", "accuracy_risk", {"microtasks": chosen}))
 
     return actions
 

@@ -21,6 +21,7 @@ from .controller import (
     BudgetLedger,
     ControllerConfig,
     ControllerState,
+    PollObservation,
     assess_risk,
     partition,
     plan_corrective_actions,
@@ -75,9 +76,7 @@ class _NodeRun:
         self.node = node
         self.slo = slo
         self.deadline = slo.deadline_ticks
-        self.state = ControllerState(
-            hm_ratio=config.initial_hm_ratio, ewma_alpha=config.ewma_alpha
-        )
+        self.state = ControllerState(hm_ratio=config.initial_hm_ratio)
         self.microtasks: dict[str, Microtask] = {}
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
@@ -676,53 +675,46 @@ class ExecutionEngine:
         now = self.sim.now
         run.check_conservation()
 
+        state = run.state
         interval_ticks = now - run.last_poll_tick
-        completed = run.evaluated_count - run.evaluated_at_last_poll
         if interval_ticks > 0:
-            update_rho(run.state, completed, interval_ticks / TICKS_PER_UNIT)
-        elif run.state.completion_rate is None:
-            run.state.completion_rate = 0.0
+            completed = run.evaluated_count - run.evaluated_at_last_poll
+            state.completion_rate = update_rho(
+                state.completion_rate, completed, interval_ticks / TICKS_PER_UNIT, self.config.ewma_alpha
+            )
+        elif state.completion_rate is None:
+            state.completion_rate = 0.0
 
-        now_units = min(to_units(now), run.slo.deadline)
-        rate = run.consensus_rate
-        reward = run.state.current_reward_micros(self.base_reward_micros)
-        risks = assess_risk(
-            run.state,
-            run.slo,
-            now_units,
-            run.node.microtask_count,
-            run.evaluated_count,
-            rate,
-            self.ledger.headroom_micros,
-            reward,
+        unpicked = run.unpicked_human_ids()
+        obs = PollObservation(
+            now=min(to_units(now), run.slo.deadline),
+            total=run.node.microtask_count,
+            evaluated=run.evaluated_count,
+            consensus_rate=run.consensus_rate,
+            completion_rate=state.completion_rate,
+            hm_ratio=state.hm_ratio,
+            incentive_multiplier=state.incentive_multiplier,
+            headroom_micros=self.ledger.headroom_micros,
+            reward_micros=state.current_reward_micros(self.base_reward_micros),
+            timed_out_slots=run.timed_out_since_poll,
+            unresolved_human=state.n_human,
+            unpicked_human=len(unpicked),
+            no_consensus_ids=tuple(sorted(run.no_consensus_pending)),
+            reroutable=run.node.agent_tag is AgentTag.EITHER,
         )
+        risks = assess_risk(obs, run.slo)
         self._emit_ledger(
             "poll",
             node=run.node.id,
             index=index,
-            hm_ratio=run.state.hm_ratio,
-            completion_rate=run.state.completion_rate,
+            hm_ratio=obs.hm_ratio,
+            completion_rate=obs.completion_rate,
             risks=sorted(flag.value for flag in risks),
-            evaluated=run.evaluated_count,
-            total=run.node.microtask_count,
-            consensus_rate=rate,
+            evaluated=obs.evaluated,
+            total=obs.total,
+            consensus_rate=obs.consensus_rate,
         )
-
-        unresolved = run.node.microtask_count - run.evaluated_count
-        unresolved_human = run.state.n_human
-        unpicked = run.unpicked_human_ids()
-        actions = plan_corrective_actions(
-            run.state,
-            risks,
-            self.ledger,
-            self.config,
-            timed_out_slots=run.timed_out_since_poll,
-            unresolved=unresolved,
-            unresolved_human=unresolved_human,
-            unpicked_human=len(unpicked),
-            no_consensus_ids=sorted(run.no_consensus_pending),
-            reroutable=run.node.agent_tag is AgentTag.EITHER,
-        )
+        actions = plan_corrective_actions(obs, risks, self.config)
         for action in actions:
             self._apply_action(run, action, unpicked)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Literal
 
 import yaml
-from yaml.constructor import SafeConstructor
+from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .agents import MachineAgentProfile, ServiceTime, WorkerClass
@@ -37,6 +37,23 @@ class _NotPlain(Exception):
     """The document holds a node that the plain builder leaves to PyYAML."""
 
 
+def _checked_scalar(construct: Callable) -> Callable:
+    """`construct`, with the errors it raises on a tagged scalar that it
+    cannot build made a YAML error at the node: SafeConstructor raises
+    KeyError on `!!bool maybe`, AttributeError on `!!timestamp abc` and
+    IndexError on `!!int ''`."""
+
+    def build(loader, node):
+        try:
+            return construct(loader, node)
+        except (LookupError, AttributeError) as exc:
+            tag = node.tag.replace(_TAG, "!!")
+            problem = f"cannot build a {tag} from {node.value!r}"
+            raise ConstructorError(None, None, problem, node.start_mark) from exc
+
+    return build
+
+
 class _PlainDocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """PyYAML's safe loader, on libyaml's scanner and parser when PyYAML was
     built with them, that builds a plain document itself.
@@ -48,13 +65,15 @@ class _PlainDocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     builds.  Any other document, and any exception on the way, goes to
     PyYAML's constructor from the start, which gives its value, its shared
     alias objects and its errors.  Parsing and tag resolution are PyYAML's
-    either way.
+    either way.  On both paths a tagged scalar that SafeConstructor fails to
+    build with other than ValueError is a YAML error at its node.
     """
 
     plain_scalars = {
-        _TAG + kind: SafeConstructor.yaml_constructors[_TAG + kind]
+        _TAG + kind: _checked_scalar(SafeConstructor.yaml_constructors[_TAG + kind])
         for kind in ("null", "bool", "int", "float", "binary", "timestamp")
     }
+    yaml_constructors = {**SafeConstructor.yaml_constructors, **plain_scalars}
 
     def construct_document(self, node):
         try:

@@ -132,6 +132,30 @@ def test_malformed_override_is_config_error(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+# tagged scalars on which PyYAML's safe constructor raises KeyError,
+# AttributeError and IndexError instead of a YAML error
+UNBUILDABLE_SCALARS = {
+    "!!bool maybe": "cannot build a !!bool from 'maybe'",
+    "!!timestamp abc": "cannot build a !!timestamp from 'abc'",
+    "!!int ''": "cannot build a !!int from ''",
+}
+
+
+@pytest.mark.parametrize("scalar", sorted(UNBUILDABLE_SCALARS))
+def test_unbuildable_tagged_scalar_is_not_valid_yaml(scenario_file, tmp_path, capsys, scalar):
+    problem = UNBUILDABLE_SCALARS[scalar]
+    path = tmp_path / "tagged.yaml"
+    path.write_text(f"schema_version: 1\nname: {scalar}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"invalid: {path}: not valid YAML: {problem} (line 2, column 7)\n"
+    override = f"name={scalar}"
+    assert main(["run", str(scenario_file), "--out", str(tmp_path / "o"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: override {override!r}: not valid YAML: {problem} (line 1, column 1)\n"
+    assert not (tmp_path / "o").exists()
+
+
 TOO_MANY_DIGITS = "1" + "0" * 5000  # more digits than int() converts from text
 
 

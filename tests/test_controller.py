@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from slosim.controller import (
     BudgetLedger,
     ControllerConfig,
-    ControllerState,
+    PollObservation,
     RiskFlag,
     assess_risk,
     partition,
@@ -59,25 +59,23 @@ def test_partition_identity(n, ratio):
 
 
 def test_rho_initialises_to_first_rate():
-    state = ControllerState(hm_ratio=1.0, ewma_alpha=0.5)
-    assert update_rho(state, 50, 100.0) == pytest.approx(0.5)
+    assert update_rho(None, 50, 100.0, 0.5) == pytest.approx(0.5)
 
 
 def test_rho_ewma_step():
-    state = ControllerState(hm_ratio=1.0, ewma_alpha=0.5, completion_rate=0.5)
-    assert update_rho(state, 30, 100.0) == pytest.approx(0.4)
+    assert update_rho(0.5, 30, 100.0, 0.5) == pytest.approx(0.4)
 
 
 def test_rho_decays_on_zero_completions():
-    state = ControllerState(hm_ratio=1.0, ewma_alpha=0.5, completion_rate=0.8)
+    rate = 0.8
     for _ in range(10):
-        update_rho(state, 0, 100.0)
-    assert state.completion_rate < 0.001
+        rate = update_rho(rate, 0, 100.0, 0.5)
+    assert rate < 0.001
 
 
 def test_rho_rejects_zero_interval():
     with pytest.raises(ValueError):
-        update_rho(ControllerState(hm_ratio=1.0), 5, 0.0)
+        update_rho(None, 5, 0.0, 0.5)
 
 
 # -- risk ---------------------------------------------------------------------------
@@ -86,9 +84,39 @@ def test_rho_rejects_zero_interval():
 SLO = SloSpec(accuracy_target=0.8, budget=10.0, deadline=1000.0)
 
 
+def observe(**fields) -> PollObservation:
+    """A poll at t=400 of an undecided 100-microtask node; `fields` override
+    any value."""
+    values = dict(
+        now=400.0,
+        total=100,
+        evaluated=0,
+        consensus_rate=1.0,
+        completion_rate=0.0,
+        hm_ratio=2.0,
+        incentive_multiplier=1.0,
+        headroom_micros=1_000_000,
+        reward_micros=20_000,
+        timed_out_slots=0,
+        unresolved_human=60,
+        unpicked_human=40,
+        no_consensus_ids=(),
+        reroutable=True,
+    )
+    return PollObservation(**{**values, **fields})
+
+
 def risk(rate, now=400.0, evaluated=100, total=500, consensus=1.0, headroom=10_000_000, reward=20_000):
-    state = ControllerState(hm_ratio=1.0, completion_rate=rate)
-    return assess_risk(state, SLO, now, total, evaluated, consensus, headroom, reward)
+    obs = observe(
+        now=now,
+        total=total,
+        evaluated=evaluated,
+        consensus_rate=consensus,
+        completion_rate=rate,
+        headroom_micros=headroom,
+        reward_micros=reward,
+    )
+    return assess_risk(obs, SLO)
 
 
 def test_time_risk_projection_shortfall():
@@ -179,20 +207,14 @@ def test_ledger_invariant_under_op_sequences(ops):
 # -- corrective planning -----------------------------------------------------------
 
 
-def plan(risks, headroom=1_000_000, timed_out=0, no_consensus=(), config=None, state=None):
-    ledger = BudgetLedger(1_000_000 + headroom)
-    ledger.spent_micros = 1_000_000  # leaves exactly `headroom`
-    return plan_corrective_actions(
-        state or ControllerState(hm_ratio=2.0),
-        risks,
-        ledger,
-        config or ControllerConfig(),
+def plan(risks, headroom=1_000_000, timed_out=0, no_consensus=(), config=None, hm_ratio=2.0):
+    obs = observe(
+        headroom_micros=headroom,
         timed_out_slots=timed_out,
-        unresolved=100,
-        unresolved_human=60,
-        unpicked_human=40,
-        no_consensus_ids=list(no_consensus),
+        no_consensus_ids=tuple(no_consensus),
+        hm_ratio=hm_ratio,
     )
+    return plan_corrective_actions(obs, risks, config or ControllerConfig())
 
 
 def test_no_risks_no_actions():
@@ -216,10 +238,17 @@ def test_time_risk_with_headroom_raises_incentive_first():
 
 def test_accuracy_escalations_bounded_by_headroom():
     # default reward 0.02 -> 20_000 micros; headroom covers exactly two
-    actions = plan({RiskFlag.ACCURACY_RISK}, headroom=40_000, no_consensus=("m3", "m1", "m2"))
+    actions = plan({RiskFlag.ACCURACY_RISK}, headroom=40_000, no_consensus=("m1", "m2", "m3"))
     assert len(actions) == 1
     assert actions[0].kind == "escalate"
     assert actions[0].params["microtasks"] == ["m1", "m2"]
+
+
+def test_escalations_are_priced_at_the_current_reward():
+    # a raised reward of 25_000 micros: 60_000 of headroom covers two, not three
+    obs = observe(headroom_micros=60_000, reward_micros=25_000, no_consensus_ids=("m1", "m2", "m3"))
+    (action,) = plan_corrective_actions(obs, {RiskFlag.ACCURACY_RISK}, ControllerConfig())
+    assert action.params["microtasks"] == ["m1", "m2"]
 
 
 def test_corrections_disabled_plans_nothing():
@@ -230,31 +259,18 @@ def test_corrections_disabled_plans_nothing():
 def test_pinned_nodes_never_reroute():
     actions = plan({RiskFlag.TIME_RISK}, headroom=0)
     assert any(a.kind == "reduce_ratio" for a in actions)
-    ledger = BudgetLedger(1_000_000)
-    pinned = plan_corrective_actions(
-        ControllerState(hm_ratio=2.0),
-        {RiskFlag.TIME_RISK},
-        ledger,
-        ControllerConfig(),
-        timed_out_slots=0,
-        unresolved=100,
-        unresolved_human=100,
-        unpicked_human=100,
-        no_consensus_ids=[],
-        reroutable=False,
-    )
+    obs = observe(headroom_micros=0, unresolved_human=100, unpicked_human=100, reroutable=False)
+    pinned = plan_corrective_actions(obs, {RiskFlag.TIME_RISK}, ControllerConfig())
     assert all(a.kind != "reduce_ratio" for a in pinned)
 
 
 def test_ratio_monotone_under_sustained_time_risk_with_no_headroom():
-    state = ControllerState(hm_ratio=4.0)
-    previous = state.hm_ratio
+    ratio = 4.0
     for _ in range(8):
-        actions = plan({RiskFlag.TIME_RISK}, headroom=0, state=state)
+        actions = plan({RiskFlag.TIME_RISK}, headroom=0, hm_ratio=ratio)
         cut = next(a for a in actions if a.kind == "reduce_ratio")
-        state.hm_ratio = cut.params["hm_ratio"]
-        assert state.hm_ratio < previous
-        previous = state.hm_ratio
+        assert cut.params["hm_ratio"] < ratio
+        ratio = cut.params["hm_ratio"]
 
 
 # -- polling schedule -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 import slosim.runner
 from slosim.agents import AgentPool, MachineAgentProfile, ServiceTime, WorkerClass
-from slosim.controller import ControllerConfig, assess_risk
+from slosim.controller import ControllerConfig, assess_risk, plan_corrective_actions
 from slosim.runner import ExecutionEngine, _NodeRun, run, run_node
 from slosim.scenario import load_scenario, scenario_from_dict
 from slosim.sim import SimEvent, Simulation
@@ -415,27 +415,43 @@ def _replaced_after_escalation(records) -> set[str]:
     return replaced
 
 
+POLL_FIELDS = ("hm_ratio", "completion_rate", "evaluated", "total", "consensus_rate")
+
+
+def _polls_with_actions(records) -> list[tuple[dict, list[dict]]]:
+    """Each `poll` record with the `action` records that its poll wrote."""
+    polls: list[tuple[dict, list[dict]]] = []
+    for record in records:
+        if record["kind"] == "poll":
+            polls.append((record, []))
+        elif record["kind"] == "action":
+            polls[-1][1].append(record)
+    return polls
+
+
 @pytest.mark.parametrize("source", [*sorted(p.stem for p in SCENARIOS_DIR.glob("*.yaml")), "c05", "escalation"])
 def test_poll_consensus_rate_equals_a_recount_of_the_results(source, scenario_dict, monkeypatch):
-    # the engine keeps a running count of agreed results; at every poll the
-    # rate it hands to assess_risk must be the recount over all results
-    node_runs = []
-    init = _NodeRun.__init__
+    """Every poll replays from its observation alone: the `poll` record holds
+    the observation's fields and the risks that `assess_risk` gives for it,
+    planning again from it gives the poll's `action` records, and its
+    consensus rate, which the engine keeps as a running count of agreed
+    results, is a recount of the node's results."""
+    polling: list[_NodeRun] = []
+    observed = []
+    on_poll = ExecutionEngine._on_poll
 
-    def registering(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        node_runs.append(self)
+    def registering(engine, node_id, index):
+        polling[:] = [engine.runs[node_id]]
+        on_poll(engine, node_id, index)
 
-    polls = []
+    def observing(obs, slo):
+        (node_run,) = polling
+        assert obs.consensus_rate == node_consensus_rate(node_run.results.values())
+        observed.append((obs, slo))
+        return assess_risk(obs, slo)
 
-    def recounting(state, slo, now, n_total, n_evaluated, consensus_rate, *rest):
-        (node_run,) = [r for r in node_runs if r.state is state]
-        assert consensus_rate == node_consensus_rate(node_run.results.values())
-        polls.append(consensus_rate)
-        return assess_risk(state, slo, now, n_total, n_evaluated, consensus_rate, *rest)
-
-    monkeypatch.setattr(_NodeRun, "__init__", registering)
-    monkeypatch.setattr(slosim.runner, "assess_risk", recounting)
+    monkeypatch.setattr(ExecutionEngine, "_on_poll", registering)
+    monkeypatch.setattr(slosim.runner, "assess_risk", observing)
     if source == "c05":
         rng = np.random.default_rng(424242)
         scenarios = [scenario_from_dict(_random_budget_scenario(rng)) for _ in range(30)]
@@ -444,12 +460,26 @@ def test_poll_consensus_rate_equals_a_recount_of_the_results(source, scenario_di
     else:
         scenarios = [load_scenario(SCENARIOS_DIR / f"{source}.yaml")]
     replaced = set()
+    rates = []
     for scenario in scenarios:
-        replaced |= _replaced_after_escalation(run(scenario).records)
-    assert polls
+        observed.clear()
+        records = run(scenario).records
+        polls = _polls_with_actions(records)
+        assert len(polls) == len(observed)
+        for (poll, actions), (obs, slo) in zip(polls, observed):
+            assert [poll[name] for name in POLL_FIELDS] == [getattr(obs, name) for name in POLL_FIELDS]
+            risks = assess_risk(obs, slo)
+            assert poll["risks"] == sorted(flag.value for flag in risks)
+            replanned = plan_corrective_actions(obs, risks, scenario.controller)
+            assert [(a.kind, a.trigger, a.params) for a in replanned] == [
+                (r["action"], r["trigger"], r["params"]) for r in actions
+            ]
+            rates.append(obs.consensus_rate)
+        replaced |= _replaced_after_escalation(records)
+    assert rates
     if source == "escalation":
         assert replaced, "an escalation must replace a NO_CONSENSUS result"
-        assert 0.0 < min(polls) < 1.0
+        assert 0.0 < min(rates) < 1.0
 
 
 def test_plurality_rule_flows_through_scenario(scenario_dict):
