@@ -20,7 +20,6 @@ from .controller import (
     Action,
     BudgetLedger,
     ControllerConfig,
-    ControllerState,
     PollObservation,
     RiskFlag,
     assess_risk,
@@ -75,7 +74,6 @@ __all__ = [
     "ConsensusResult",
     "ConsensusStatus",
     "ControllerConfig",
-    "ControllerState",
     "ExecutionEngine",
     "GraphInvalid",
     "MachineAgentProfile",

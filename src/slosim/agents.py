@@ -8,8 +8,7 @@ of items concurrently at a fixed per-item service time and cost.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -183,36 +182,34 @@ def scaled_arrival_rate(base_rate: float, incentive_multiplier: float, elasticit
     return base_rate * (1.0 + elasticity * (incentive_multiplier - 1.0))
 
 
-@dataclass
-class _WorkerInfo:
-    agent_id: str
-    class_name: str
-    state: str  # "available" | "busy" | "departed"
-
-
-@dataclass
 class AgentPool:
-    """Run-time supply state: idle/busy workers plus effective arrival rates."""
+    """Run-time supply state: idle/busy workers plus effective arrival rates.
 
-    workers: tuple[WorkerClass, ...]
-    machines: tuple[MachineAgentProfile, ...]
-    incentive_elasticity: float = 1.0
-    _by_class: dict[str, WorkerClass] = field(default_factory=dict, repr=False)
-    _base_rates: dict[str, float] = field(default_factory=dict, repr=False)
-    _incentive_scale: float = 1.0
-    _available: deque = field(default_factory=deque, repr=False)
-    _registry: dict[str, _WorkerInfo] = field(default_factory=dict, repr=False)
-    _counter: int = 0
+    Each admitted worker is in the idle queue (first in, first out), in the
+    busy set, or in neither once departed.
+    """
 
-    def __post_init__(self) -> None:
-        names = [w.name for w in self.workers]
+    def __init__(
+        self,
+        workers: tuple[WorkerClass, ...],
+        machines: tuple[MachineAgentProfile, ...],
+        incentive_elasticity: float = 1.0,
+    ):
+        names = [w.name for w in workers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate worker class names: {names}")
-        machine_names = [m.name for m in self.machines]
+        machine_names = [m.name for m in machines]
         if len(set(machine_names)) != len(machine_names):
             raise ValueError(f"duplicate machine profile names: {machine_names}")
-        self._by_class = {w.name: w for w in self.workers}
-        self._base_rates = {w.name: w.arrival_rate for w in self.workers}
+        self.workers = workers
+        self.machines = machines
+        self.incentive_elasticity = incentive_elasticity
+        self._by_class = {w.name: w for w in workers}
+        self._base_rates = {w.name: w.arrival_rate for w in workers}
+        self._incentive_scale = 1.0
+        self._class_of: dict[str, WorkerClass] = {}  # every admitted worker
+        self._idle: dict[str, None] = {}  # insertion order is the queue order
+        self._busy: set[str] = set()
 
     # -- arrival rates ------------------------------------------------------
 
@@ -228,12 +225,11 @@ class AgentPool:
             raise ValueError(f"arrival rate must be >= 0: {rate}")
         self._base_rates[class_name] = rate
 
-    def apply_incentive(self, incentive_multiplier: float) -> dict[str, float]:
+    def apply_incentive(self, incentive_multiplier: float) -> None:
         """Rescale every class's effective rate; composes with scripted bases."""
         self._incentive_scale = scaled_arrival_rate(
             1.0, incentive_multiplier, self.incentive_elasticity
         )
-        return {name: self.effective_rate(name) for name in self._base_rates}
 
     def sample_interarrival(self, class_name: str, rng: np.random.Generator) -> float:
         return sample_interarrival(self.effective_rate(class_name), rng)
@@ -242,37 +238,41 @@ class AgentPool:
 
     def admit(self, class_name: str) -> str:
         """A new worker of the class arrives and joins the idle queue."""
-        if class_name not in self._by_class:
+        worker_class = self._by_class.get(class_name)
+        if worker_class is None:
             raise KeyError(f"unknown worker class: {class_name}")
-        self._counter += 1
-        agent_id = f"{class_name}-{self._counter:05d}"
-        self._registry[agent_id] = _WorkerInfo(agent_id, class_name, "available")
-        self._available.append(agent_id)
+        agent_id = f"{class_name}-{len(self._class_of) + 1:05d}"
+        self._class_of[agent_id] = worker_class
+        self._idle[agent_id] = None
         return agent_id
 
     def idle_workers(self) -> list[str]:
-        return list(self._available)
+        return list(self._idle)
 
     def has_idle_workers(self) -> bool:
-        return bool(self._available)
+        return bool(self._idle)
 
     def class_of(self, agent_id: str) -> WorkerClass:
-        return self._by_class[self._registry[agent_id].class_name]
+        return self._class_of[agent_id]
+
+    def _state(self, agent_id: str) -> str:
+        """The agent's state, as an error names it."""
+        if agent_id not in self._class_of:
+            raise KeyError(f"unknown agent: {agent_id}")
+        if agent_id in self._idle:
+            return "available"
+        return "busy" if agent_id in self._busy else "departed"
 
     def mark_busy(self, agent_id: str) -> None:
-        info = self._registry[agent_id]
-        if info.state != "available":
-            raise ValueError(f"agent {agent_id} is {info.state}, not available")
-        info.state = "busy"
-        self._available.remove(agent_id)
+        if agent_id not in self._idle:
+            raise ValueError(f"agent {agent_id} is {self._state(agent_id)}, not available")
+        del self._idle[agent_id]
+        self._busy.add(agent_id)
 
     def release(self, agent_id: str, stays: bool) -> None:
         """Return a busy worker to the idle queue, or let them depart."""
-        info = self._registry[agent_id]
-        if info.state != "busy":
-            raise ValueError(f"agent {agent_id} is {info.state}, not busy")
+        if agent_id not in self._busy:
+            raise ValueError(f"agent {agent_id} is {self._state(agent_id)}, not busy")
+        self._busy.remove(agent_id)
         if stays:
-            info.state = "available"
-            self._available.append(agent_id)
-        else:
-            info.state = "departed"
+            self._idle[agent_id] = None

@@ -172,6 +172,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return 2
+    if args.param == "seed" and args.seed is not None:
+        # --seed would override the swept value at every point
+        print("error: --seed cannot be combined with --param seed", file=sys.stderr)
+        return 2
     # validate once up front so a bad scenario fails before any runs start
     scenario = load_scenario(args.scenario, overrides=[f"{args.param}={values[0]}"])
     out = _out_dir(args.out, f"out/sweep-{scenario.name}")

@@ -4,7 +4,7 @@ assessment, budget accounting and corrective-action planning.
 The controller is a deterministic state machine advanced only at polling
 instants and on exception events (timeouts).  Each poll reads one
 `PollObservation`; every decision is a pure function of it and the config,
-and only the engine writes `ControllerState`, so traces are reproducible.
+so traces are reproducible.
 """
 
 from __future__ import annotations
@@ -93,17 +93,6 @@ class ControllerConfig:
     @property
     def reward_micros(self) -> int:
         return to_micros(self.reward_per_assignment)
-
-
-@dataclass
-class ControllerState:
-    hm_ratio: float
-    completion_rate: float | None = None  # EWMA, microtasks per time unit
-    n_human: int = 0  # human-routed microtasks not yet decided
-    incentive_multiplier: float = 1.0
-
-    def current_reward_micros(self, base_reward_micros: int) -> int:
-        return _scaled_reward_micros(base_reward_micros, self.incentive_multiplier)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from .controller import (
     Action,
     BudgetLedger,
     ControllerConfig,
-    ControllerState,
     PollObservation,
+    _scaled_reward_micros,
     assess_risk,
     partition,
     plan_corrective_actions,
@@ -76,7 +76,10 @@ class _NodeRun:
         self.node = node
         self.slo = slo
         self.deadline = slo.deadline_ticks
-        self.state = ControllerState(hm_ratio=config.initial_hm_ratio)
+        self.hm_ratio = config.initial_hm_ratio
+        self.incentive_multiplier = 1.0
+        self.completion_rate: float | None = None  # EWMA, microtasks per time unit
+        self.n_human = 0  # human-routed microtasks not yet decided
         self.microtasks: dict[str, Microtask] = {}
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
@@ -288,8 +291,8 @@ class ExecutionEngine:
         elif node.agent_tag is AgentTag.MACHINE_ONLY:
             n_human, n_machine = 0, n
         else:
-            n_human, n_machine = partition(n, run.state.hm_ratio)
-        run.state.n_human = n_human
+            n_human, n_machine = partition(n, run.hm_ratio)
+        run.n_human = n_human
 
         self.emit(
             "node_start",
@@ -297,7 +300,7 @@ class ExecutionEngine:
             n=n,
             n_human=n_human,
             n_machine=n_machine,
-            hm_ratio=run.state.hm_ratio,
+            hm_ratio=run.hm_ratio,
             window_start=now,
             deadline=run.deadline,
             slo=self._slo_fields(slo),
@@ -317,7 +320,7 @@ class ExecutionEngine:
             self._finalize_node(run)
             return
 
-        reward = run.state.current_reward_micros(self.base_reward_micros)
+        reward = _scaled_reward_micros(self.base_reward_micros, run.incentive_multiplier)
         for mt_id in sorted(run.microtasks):
             microtask = run.microtasks[mt_id]
             if microtask.route is Route.HUMAN:
@@ -395,7 +398,7 @@ class ExecutionEngine:
         for run in self._active:
             if now >= run.deadline or not run.open_wtasks:
                 continue
-            reward = run.state.current_reward_micros(self.base_reward_micros)
+            reward = _scaled_reward_micros(self.base_reward_micros, run.incentive_multiplier)
             if reward <= headroom:
                 candidates.append((run, reward))
         if not candidates:
@@ -585,7 +588,7 @@ class ExecutionEngine:
             run.no_consensus_pending.discard(mt_id)
             run.close(mt_id)
             if microtask.route is Route.HUMAN:
-                run.state.n_human -= 1
+                run.n_human -= 1
         else:
             run.no_consensus_pending.add(mt_id)
         self.emit(
@@ -607,10 +610,7 @@ class ExecutionEngine:
         while self.machine_queue:
             node_id, mt_id = self.machine_queue[0]
             run = self.runs[node_id]
-            if run.finished or mt_id in run.final:
-                self.machine_queue.popleft()
-                continue
-            if self.sim.now >= run.deadline:
+            if run.finished or mt_id in run.final or self.sim.now >= run.deadline:
                 self.machine_queue.popleft()
                 continue
             for station in self.stations.values():
@@ -675,15 +675,14 @@ class ExecutionEngine:
         now = self.sim.now
         run.check_conservation()
 
-        state = run.state
         interval_ticks = now - run.last_poll_tick
         if interval_ticks > 0:
             completed = run.evaluated_count - run.evaluated_at_last_poll
-            state.completion_rate = update_rho(
-                state.completion_rate, completed, interval_ticks / TICKS_PER_UNIT, self.config.ewma_alpha
+            run.completion_rate = update_rho(
+                run.completion_rate, completed, interval_ticks / TICKS_PER_UNIT, self.config.ewma_alpha
             )
-        elif state.completion_rate is None:
-            state.completion_rate = 0.0
+        elif run.completion_rate is None:
+            run.completion_rate = 0.0
 
         unpicked = run.unpicked_human_ids()
         obs = PollObservation(
@@ -691,13 +690,13 @@ class ExecutionEngine:
             total=run.node.microtask_count,
             evaluated=run.evaluated_count,
             consensus_rate=run.consensus_rate,
-            completion_rate=state.completion_rate,
-            hm_ratio=state.hm_ratio,
-            incentive_multiplier=state.incentive_multiplier,
+            completion_rate=run.completion_rate,
+            hm_ratio=run.hm_ratio,
+            incentive_multiplier=run.incentive_multiplier,
             headroom_micros=self.ledger.headroom_micros,
-            reward_micros=state.current_reward_micros(self.base_reward_micros),
+            reward_micros=_scaled_reward_micros(self.base_reward_micros, run.incentive_multiplier),
             timed_out_slots=run.timed_out_since_poll,
-            unresolved_human=state.n_human,
+            unresolved_human=run.n_human,
             unpicked_human=len(unpicked),
             no_consensus_ids=tuple(sorted(run.no_consensus_pending)),
             reroutable=run.node.agent_tag is AgentTag.EITHER,
@@ -736,12 +735,12 @@ class ExecutionEngine:
         if action.kind == "reassign":
             self._dispatch_workers()
         elif action.kind == "raise_incentive":
-            run.state.incentive_multiplier = action.params["multiplier"]
-            peak = max(r.state.incentive_multiplier for r in self._active)
+            run.incentive_multiplier = action.params["multiplier"]
+            peak = max(r.incentive_multiplier for r in self._active)
             self.pool.apply_incentive(peak)
             self._dispatch_workers()  # idle workers may now meet their price
         elif action.kind == "reduce_ratio":
-            run.state.hm_ratio = action.params["hm_ratio"]
+            run.hm_ratio = action.params["hm_ratio"]
             for mt_id in unpicked[: action.params["reroute"]]:
                 self._reroute_to_machine(run, mt_id)
             self._dispatch_machines()
@@ -756,7 +755,7 @@ class ExecutionEngine:
         run.close(mt_id)
         run.wtasks.pop(mt_id, None)
         microtask.route = Route.MACHINE
-        run.state.n_human -= 1
+        run.n_human -= 1
         self.emit("reroute", node=run.node.id, microtask=mt_id)
         self._enqueue_machine(run, microtask)
 
@@ -799,7 +798,8 @@ class ExecutionEngine:
             for record in list(wtask.pending.values()):
                 self._time_out(run, wtask, record)
 
-        # cancel this node's machine work still in stations or queued
+        # cancel this node's machine work in stations; _dispatch_machines
+        # drops its queued work when that reaches the head of the queue
         for station in self.stations.values():
             for ticket in sorted(station.in_flight):
                 node_id, event = station.in_flight[ticket]
@@ -807,9 +807,6 @@ class ExecutionEngine:
                     self.sim.cancel(event)
                     self.ledger.settle_timeout(station.cost_micros)
                     del station.in_flight[ticket]
-        self.machine_queue = deque(
-            item for item in self.machine_queue if item[0] != run.node.id
-        )
 
         # evaluate whatever has votes; the rest is reported incomplete
         for mt_id in sorted(run.microtasks):

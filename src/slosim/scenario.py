@@ -38,14 +38,18 @@ class _NotPlain(Exception):
 
 
 def _checked_scalar(construct: Callable) -> Callable:
-    """`construct`, with the errors it raises on a tagged scalar that it
-    cannot build made a YAML error at the node: SafeConstructor raises
+    """`construct`, with the errors it raises on a scalar that it cannot
+    build made a YAML error at the node.  A ValueError (`!!int abc`, a date
+    with month 13) keeps PyYAML's text as the problem; SafeConstructor's
     KeyError on `!!bool maybe`, AttributeError on `!!timestamp abc` and
-    IndexError on `!!int ''`."""
+    IndexError on `!!int ''` say nothing useful, so the problem names the
+    tag and the scalar."""
 
     def build(loader, node):
         try:
             return construct(loader, node)
+        except ValueError as exc:
+            raise ConstructorError(None, None, str(exc), node.start_mark) from exc
         except (LookupError, AttributeError) as exc:
             tag = node.tag.replace(_TAG, "!!")
             problem = f"cannot build a {tag} from {node.value!r}"
@@ -65,8 +69,8 @@ class _PlainDocumentLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     builds.  Any other document, and any exception on the way, goes to
     PyYAML's constructor from the start, which gives its value, its shared
     alias objects and its errors.  Parsing and tag resolution are PyYAML's
-    either way.  On both paths a tagged scalar that SafeConstructor fails to
-    build with other than ValueError is a YAML error at its node.
+    either way.  On both paths a scalar that SafeConstructor fails to build
+    is a YAML error at its node.
     """
 
     plain_scalars = {
@@ -113,7 +117,8 @@ YAML_LOADER = _PlainDocumentLoader
 
 
 # PyYAML's constructors raise ValueError for a scalar they cannot build, such
-# as an int of more digits than int() converts or a date with month 13.
+# as an int of more digits than int() converts or a date with month 13; the
+# loader makes that a YAML error at the scalar, and PyYAML's own loaders do not.
 YAML_ERRORS = (yaml.YAMLError, ValueError)
 
 # the keys of the sections that no dataclass declares; a dataclass section

@@ -159,6 +159,59 @@ def test_pool_departure_removes_worker():
         pool.mark_busy(agent)
 
 
+def test_pool_idle_queue_is_first_in_first_out():
+    pool = AgentPool(workers=(crowd(),), machines=())
+    a, b, c = (pool.admit("crowd") for _ in range(3))
+    pool.mark_busy(b)
+    assert pool.idle_workers() == [a, c]
+    pool.release(b, stays=True)
+    assert pool.idle_workers() == [a, c, b]
+    pool.mark_busy(a)
+    pool.release(a, stays=True)
+    assert pool.idle_workers() == [c, b, a]
+    assert pool.has_idle_workers()
+
+
+def test_pool_errors_name_the_agents_state():
+    pool = AgentPool(workers=(crowd(),), machines=())
+    busy, gone, idle = (pool.admit("crowd") for _ in range(3))
+    pool.mark_busy(busy)
+    pool.mark_busy(gone)
+    pool.release(gone, stays=False)
+    with pytest.raises(ValueError, match=f"agent {busy} is busy, not available"):
+        pool.mark_busy(busy)
+    with pytest.raises(ValueError, match=f"agent {gone} is departed, not available"):
+        pool.mark_busy(gone)
+    with pytest.raises(ValueError, match=f"agent {idle} is available, not busy"):
+        pool.release(idle, stays=True)
+    with pytest.raises(ValueError, match=f"agent {gone} is departed, not busy"):
+        pool.release(gone, stays=True)
+    assert pool.idle_workers() == [idle]
+
+
+def test_pool_unknown_agent_or_class_is_a_key_error():
+    pool = AgentPool(workers=(crowd(),), machines=())
+    for call in (
+        lambda: pool.admit("nobody"),
+        lambda: pool.set_base_rate("nobody", 1.0),
+        lambda: pool.class_of("crowd-00001"),
+        lambda: pool.mark_busy("crowd-00001"),
+        lambda: pool.release("crowd-00001", stays=True),
+    ):
+        with pytest.raises(KeyError):
+            call()
+
+
+def test_pool_numbers_agents_across_classes():
+    pool = AgentPool(workers=(crowd("a"), crowd("b")), machines=())
+    first = pool.admit("a")
+    pool.mark_busy(first)
+    pool.release(first, stays=False)  # a departed worker keeps its number
+    ids = [pool.admit(name) for name in ("b", "a", "b")]
+    assert [first] + ids == ["a-00001", "b-00002", "a-00003", "b-00004"]
+    assert [pool.class_of(agent).name for agent in ids] == ["b", "a", "b"]
+
+
 def test_pool_rejects_duplicate_class_names():
     with pytest.raises(ValueError):
         AgentPool(workers=(crowd(), crowd()), machines=())

@@ -132,12 +132,16 @@ def test_malformed_override_is_config_error(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-# tagged scalars on which PyYAML's safe constructor raises KeyError,
-# AttributeError and IndexError instead of a YAML error
+# scalars on which PyYAML's safe constructor raises KeyError, AttributeError
+# and IndexError (the problem then names the tag), or ValueError (the problem
+# is PyYAML's text), instead of a YAML error
 UNBUILDABLE_SCALARS = {
     "!!bool maybe": "cannot build a !!bool from 'maybe'",
     "!!timestamp abc": "cannot build a !!timestamp from 'abc'",
     "!!int ''": "cannot build a !!int from ''",
+    "!!int abc": "invalid literal for int() with base 10: 'abc'",
+    "!!float abc": "could not convert string to float: 'abc'",
+    "2001-13-14": "month must be in 1..12",
 }
 
 
@@ -167,18 +171,24 @@ def test_integer_with_too_many_digits_is_not_valid_yaml(scenarios_dir, tmp_path,
         path = tmp_path / "digits.yaml"
         text = scenario.read_text(encoding="utf-8").replace("budget: 5.00", f"budget: {TOO_MANY_DIGITS}")
         path.write_text(text, encoding="utf-8")
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if TOO_MANY_DIGITS in row)
+        column = text.splitlines()[line - 1].index(TOO_MANY_DIGITS) + 1
         problem = f"{path}: not valid YAML: Exceeds the limit (4300 digits)"
+        where = f"(line {line}, column {column})"
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"invalid: {problem}") and len(out.splitlines()) == 1
+        assert out.endswith(f" {where}\n")
         argv = ["run", str(path)]
     else:
         override = f"slo.budget={TOO_MANY_DIGITS}"
         problem = f"override {override!r}: not valid YAML: Exceeds the limit (4300 digits)"
+        where = "(line 1, column 1)"
         argv = ["run", str(scenario), "--set", override]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {problem}") and len(err.splitlines()) == 1
+    assert err.endswith(f" {where}\n")
 
 
 def test_run_writes_trace_and_summary(scenario_file, tmp_path, capsys):
@@ -434,3 +444,12 @@ def test_sweep_runs_each_value(scenario_file, tmp_path):
     assert len(index) == 3  # header + two runs
     assert (out / "controller_initial_hm_ratio=0" / "summary.json").exists()
     assert (out / "controller_initial_hm_ratio=2" / "summary.json").exists()
+
+
+def test_sweep_over_seed_rejects_a_fixed_seed(scenario_file, tmp_path, capsys):
+    # --seed would run every point at one seed, whatever value it names
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(scenario_file), "--param", "seed", "--values", "1,2", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seed cannot be combined with --param seed\n"
+    assert not out.exists()

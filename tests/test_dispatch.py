@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slosim.agents import AgentPool, ServiceTime, WorkerClass
-from slosim.controller import BudgetLedger, ControllerConfig
+from slosim.controller import BudgetLedger, ControllerConfig, _scaled_reward_micros
 from slosim.runner import ExecutionEngine, _NodeRun, run
 from slosim.scenario import load_scenario, scenario_from_dict
 from slosim.sim import Simulation
@@ -123,7 +123,7 @@ def _takeable(engine: ExecutionEngine) -> list[tuple[str, str]]:
         for node_run in engine.runs.values():
             if node_run.finished or now >= node_run.deadline:
                 continue
-            reward = node_run.state.current_reward_micros(engine.config.reward_micros)
+            reward = _scaled_reward_micros(engine.config.reward_micros, node_run.incentive_multiplier)
             if not min_reward <= reward <= headroom:
                 continue
             for mt_id, wtask in node_run.wtasks.items():
