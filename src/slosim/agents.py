@@ -201,8 +201,6 @@ class AgentPool:
         machine_names = [m.name for m in machines]
         if len(set(machine_names)) != len(machine_names):
             raise ValueError(f"duplicate machine profile names: {machine_names}")
-        self.workers = workers
-        self.machines = machines
         self.incentive_elasticity = incentive_elasticity
         self._by_class = {w.name: w for w in workers}
         self._base_rates = {w.name: w.arrival_rate for w in workers}

@@ -172,6 +172,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return 2
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        # two points with one value would write one output directory
+        print(f"error: --values repeats {', '.join(repeated)}", file=sys.stderr)
+        return 2
     if args.param == "seed" and args.seed is not None:
         # --seed would override the swept value at every point
         print("error: --seed cannot be combined with --param seed", file=sys.stderr)
@@ -183,12 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         rows = list(pool.map(_sweep_one, jobs))
 
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in columns))
     index = out / "sweep.csv"
-    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    index.write_text(reports.render(rows, list(rows[0]), "csv"), encoding="utf-8")
     print(f"{len(rows)} runs -> {index}")
     return 0
 

@@ -161,39 +161,38 @@ class ExecutionEngine:
 
     def __init__(
         self,
+        scenario: Scenario,
         *,
-        name: str,
-        graph: WorkflowGraph,
-        config: ControllerConfig,
-        pool: AgentPool,
-        sim: Simulation,
         writer: TraceWriter,
-        time_unit: str = "minute",
-        digest: str = "",
-        script: tuple = (),
+        seed: int | None = None,
         overrides: list[str] | None = None,
         reject: RejectPredicate | None = None,
     ):
+        """`seed` replaces the scenario's; the clock's horizon is the task
+        deadline and the pool's elasticity the controller's."""
+        graph = scenario.graph
         report = validate(graph)
         if not report.ok:
             raise ValueError(f"invalid workflow graph: {report.render()}")
-        self.name = name
-        self.graph = graph
+        config = scenario.controller
+        self.scenario = scenario
         self.config = config
-        self.pool = pool
-        self.sim = sim
+        self.sim = sim = Simulation(
+            scenario.seed if seed is None else seed, horizon=scenario.slo.deadline_ticks
+        )
+        self.pool = AgentPool(
+            workers=scenario.workers,
+            machines=scenario.machines,
+            incentive_elasticity=config.incentive_elasticity,
+        )
         self.writer = writer
-        self.time_unit = time_unit
-        self.digest = digest
-        self.script = script
         self.overrides = overrides or []
         self.reject = reject
 
-        self.task_slo = graph.task_slo
         self.node_slos = derive_node_slos(graph)
-        self.ledger = BudgetLedger(self.task_slo.budget_micros)
+        self.ledger = BudgetLedger(scenario.slo.budget_micros)
         self.base_reward_micros = config.reward_micros
-        self.min_reward_by_class = {w.name: w.min_reward_micros for w in pool.workers}
+        self.min_reward_by_class = {w.name: w.min_reward_micros for w in scenario.workers}
         self.runs: dict[str, _NodeRun] = {}
         self._active: list[_NodeRun] = []  # the unfinished runs, in node-id order
         self._unfinished = len(graph.nodes)  # nodes not yet finalized, active or not
@@ -206,7 +205,7 @@ class ExecutionEngine:
         # keyed by profile name and in name order: dispatch takes the first free one
         self.stations = {
             profile.name: _MachineStation(profile)
-            for profile in sorted(pool.machines, key=lambda m: m.name)
+            for profile in sorted(scenario.machines, key=lambda m: m.name)
         }
         self.machine_queue: deque[tuple[str, str]] = deque()
 
@@ -231,22 +230,23 @@ class ExecutionEngine:
     # -- run ------------------------------------------------------------------
 
     def run(self) -> RunSummary:
+        scenario = self.scenario
         self.emit(
             "header",
             schema=1,
-            scenario=self.name,
-            digest=self.digest,
+            scenario=scenario.name,
+            digest=scenario.digest(),
             seed=self.sim.seed,
-            time_unit=self.time_unit,
+            time_unit=scenario.time_unit,
             config=asdict(self.config),
-            task_slo=self._slo_fields(self.task_slo),
+            task_slo=self._slo_fields(scenario.slo),
             overrides=list(self.overrides),
         )
-        for event in self.script:
+        for event in scenario.script:
             self.sim.schedule(
                 to_ticks(event.at), ExecutionEngine._on_script, event.worker_class, event.rate
             )
-        for worker_class in self.pool.workers:
+        for worker_class in scenario.workers:
             self._schedule_arrival(worker_class.name)
         self._activate_ready()
 
@@ -272,14 +272,14 @@ class ExecutionEngine:
 
     def _activate_ready(self) -> None:
         completed = {node_id for node_id, run in self.runs.items() if run.finished}
-        for node_id in sorted(ready_nodes(self.graph, completed)):
+        for node_id in sorted(ready_nodes(self.scenario.graph, completed)):
             if node_id in self.runs:
                 continue
             self._activate_node(node_id)
 
     def _activate_node(self, node_id: str) -> None:
         now = self.sim.now
-        node = self.graph.node_map[node_id]
+        node = self.scenario.graph.node_map[node_id]
         slo = self.node_slos[node_id]
         run = _NodeRun(node, slo, self.config, window_start=now)
         self.runs[node_id] = run
@@ -846,26 +846,9 @@ def run(
     reject: RejectPredicate | None = None,
 ) -> RunResult:
     """Execute a scenario end to end; SLO misses are reported, never raised."""
-    effective_seed = scenario.seed if seed is None else seed
-    sim = Simulation(effective_seed, horizon=scenario.slo.deadline_ticks)
-    pool = AgentPool(
-        workers=scenario.workers,
-        machines=scenario.machines,
-        incentive_elasticity=scenario.controller.incentive_elasticity,
-    )
     with TraceWriter(trace_path) as writer:
         engine = ExecutionEngine(
-            name=scenario.name,
-            graph=scenario.graph,
-            config=scenario.controller,
-            pool=pool,
-            sim=sim,
-            writer=writer,
-            time_unit=scenario.time_unit,
-            digest=scenario.digest(),
-            script=scenario.script,
-            overrides=overrides,
-            reject=reject,
+            scenario, writer=writer, seed=seed, overrides=overrides, reject=reject
         )
         summary = engine.run()
     return RunResult(records=writer.records, summary=summary, trace_path=writer.path)
@@ -875,28 +858,29 @@ def run_node(
     node: WorkflowNode,
     slo: SloSpec,
     config: ControllerConfig,
-    pool: AgentPool,
-    sim: Simulation,
     *,
+    workers: tuple[WorkerClass, ...],
+    machines: tuple[MachineAgentProfile, ...],
+    seed: int,
     trace_path: str | Path | None = None,
     reject: RejectPredicate | None = None,
 ) -> NodeOutcome:
     """Execute a single node to completion or its deadline.
 
-    Convenience wrapper over the engine for node-level experiments; the node
-    is treated as a one-node workflow carrying the given SLO.
+    Convenience wrapper over the engine for node-level experiments: the node
+    runs as a one-node scenario named `node:<id>` whose task SLO is `slo`.
     """
-    graph = WorkflowGraph(nodes=(node,), edges=frozenset(), task_slo=slo)
+    scenario = Scenario(
+        name=f"node:{node.id}",
+        seed=seed,
+        time_unit="minute",
+        graph=WorkflowGraph(nodes=(node,), edges=frozenset(), task_slo=slo),
+        workers=workers,
+        machines=machines,
+        controller=config,
+    )
     with TraceWriter(trace_path) as writer:
-        engine = ExecutionEngine(
-            name=f"node:{node.id}",
-            graph=graph,
-            config=config,
-            pool=pool,
-            sim=sim,
-            writer=writer,
-            reject=reject,
-        )
+        engine = ExecutionEngine(scenario, writer=writer, reject=reject)
         summary = engine.run()
     node_summary = next(ns for ns in summary.nodes if ns.node_id == node.id)
     node_run = engine.runs[node.id]

@@ -337,6 +337,12 @@ def _check_references(
             problems.append(
                 f"{where}: node deadline {node.slo.deadline} exceeds task deadline {deadline}"
             )
+    for where, items in (("workers", workers), ("machines", machines)):
+        declared: set[str] = set()
+        for i, item in enumerate(items):
+            if item.name in declared:
+                problems.append(f"{where}[{i}].name: {item.name!r} is already declared")
+            declared.add(item.name)
     classes = {w.name for w in workers}
     for i, event in enumerate(script):
         if event.worker_class not in classes:

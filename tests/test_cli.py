@@ -77,6 +77,24 @@ def test_script_naming_an_undeclared_worker_class_is_invalid(scenarios_dir, tmp_
     assert not (out / "trace.jsonl").exists()
 
 
+def test_a_worker_class_or_machine_profile_declared_twice_is_invalid(scenarios_dir, tmp_path, capsys):
+    raw = yaml.safe_load((scenarios_dir / "minimal.yaml").read_text(encoding="utf-8"))
+    raw["workers"] *= 2
+    raw["machines"] *= 2
+    path = tmp_path / "twice.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    problems = [
+        "workers[1].name: 'crowd' is already declared",
+        "machines[1].name: 'classifier' is already declared",
+    ]
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "".join(f"invalid: {p}\n" for p in problems)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", ["seed=true", "controller.polling_intervals=2.5"])
 def test_non_integer_override_is_config_error(scenario_file, tmp_path, capsys, override):
     out = tmp_path / "o"
@@ -452,4 +470,23 @@ def test_sweep_over_seed_rejects_a_fixed_seed(scenario_file, tmp_path, capsys):
     argv = ["sweep", str(scenario_file), "--param", "seed", "--values", "1,2", "--seed", "3"]
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --seed cannot be combined with --param seed\n"
+    assert not out.exists()
+
+
+def test_sweep_index_quotes_a_value_that_holds_a_quote(scenario_file, tmp_path):
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(scenario_file), "--param", "name", "--values", 'a"b,c', "--out", str(out)]
+    assert main(argv) == 0
+    index = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(index) == 3
+    assert index[1].startswith('"a""b",') and index[2].startswith("c,")
+    assert (out / 'name=a"b' / "summary.json").exists()
+
+
+def test_sweep_rejects_a_repeated_value(scenario_file, tmp_path, capsys):
+    # both points would run into one seed=1 directory
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(scenario_file), "--param", "seed", "--values", "1,2,1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --values repeats 1\n"
     assert not out.exists()

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from slosim.agents import AgentPool, ServiceTime, WorkerClass
 from slosim.controller import BudgetLedger, ControllerConfig, _scaled_reward_micros
 from slosim.runner import ExecutionEngine, _NodeRun, run
-from slosim.scenario import load_scenario, scenario_from_dict
-from slosim.sim import Simulation
+from slosim.scenario import Scenario, load_scenario, scenario_from_dict
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter
 from slosim.units import to_micros, to_ticks
@@ -36,7 +35,11 @@ def _engine(
     scheduled: callers admit the idle workers they want and activate the
     node themselves.  Workers always stay after a return."""
     slo = SloSpec(accuracy_target=0.5, budget=budget, deadline=100.0)
-    pool = AgentPool(
+    scenario = Scenario(
+        name="dispatch",
+        seed=1,
+        time_unit="minute",
+        graph=WorkflowGraph(nodes=(_node(),), edges=frozenset(), task_slo=slo),
         workers=(
             WorkerClass(
                 name="w", accuracy=0.9, arrival_rate=0.1,
@@ -44,16 +47,9 @@ def _engine(
             ),
         ),
         machines=(),
+        controller=ControllerConfig(replication_w=w, assignment_window=window),
     )
-    return ExecutionEngine(
-        name="dispatch",
-        graph=WorkflowGraph(nodes=(_node(),), edges=frozenset(), task_slo=slo),
-        config=ControllerConfig(replication_w=w, assignment_window=window),
-        pool=pool,
-        sim=Simulation(seed=1, horizon=slo.deadline_ticks),
-        writer=TraceWriter(None),
-        reject=reject,
-    )
+    return ExecutionEngine(scenario, writer=TraceWriter(None), reject=reject)
 
 
 # -- the open list ----------------------------------------------------------------
@@ -215,7 +211,16 @@ def _z_a_m_engine(*, z_count: int, a_deadline: float) -> ExecutionEngine:
             agent_tag=AgentTag.HUMAN_ONLY, slo=slo,
         )
 
-    pool = AgentPool(
+    graph = WorkflowGraph(
+        nodes=(node("z", z_count, 50.0), node("a", 2, a_deadline), node("m", 2, 20.0)),
+        edges=frozenset({("z", "a")}),
+        task_slo=task,
+    )
+    scenario = Scenario(
+        name="active-runs",
+        seed=1,
+        time_unit="minute",
+        graph=graph,
         workers=(
             WorkerClass(
                 name="w", accuracy=0.9, arrival_rate=0.5,
@@ -223,20 +228,9 @@ def _z_a_m_engine(*, z_count: int, a_deadline: float) -> ExecutionEngine:
             ),
         ),
         machines=(),
+        controller=ControllerConfig(replication_w=1),
     )
-    graph = WorkflowGraph(
-        nodes=(node("z", z_count, 50.0), node("a", 2, a_deadline), node("m", 2, 20.0)),
-        edges=frozenset({("z", "a")}),
-        task_slo=task,
-    )
-    return ExecutionEngine(
-        name="active-runs",
-        graph=graph,
-        config=ControllerConfig(replication_w=1),
-        pool=pool,
-        sim=Simulation(seed=1, horizon=task.deadline_ticks),
-        writer=TraceWriter(None),
-    )
+    return ExecutionEngine(scenario, writer=TraceWriter(None))
 
 
 def test_an_idle_worker_is_offered_to_the_active_runs_in_node_id_order():

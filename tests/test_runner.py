@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import slosim.runner
-from slosim.agents import AgentPool, MachineAgentProfile, ServiceTime, WorkerClass
+from slosim.agents import MachineAgentProfile, ServiceTime, WorkerClass
 from slosim.controller import ControllerConfig, assess_risk, plan_corrective_actions
 from slosim.runner import ExecutionEngine, _NodeRun, run, run_node
 from slosim.scenario import load_scenario, scenario_from_dict
-from slosim.sim import SimEvent, Simulation
+from slosim.sim import SimEvent
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter, read_trace, summarize
 from slosim.units import to_ticks
@@ -43,7 +43,8 @@ def test_all_machine_zero_cost(scenario_dict):
 def test_empty_node_is_immediate_success():
     node = WorkflowNode(id="empty", microtask_count=0, answer_domain=("yes", "no"))
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=100.0)
-    pool = AgentPool(
+    outcome = run_node(
+        node, slo, ControllerConfig(),
         workers=(
             WorkerClass(
                 name="w", accuracy=0.9, arrival_rate=0.5,
@@ -51,9 +52,8 @@ def test_empty_node_is_immediate_success():
             ),
         ),
         machines=(MachineAgentProfile(name="m", accuracy=0.9, service_time_per_item=1.0),),
+        seed=1,
     )
-    sim = Simulation(seed=1, horizon=to_ticks(100.0))
-    outcome = run_node(node, slo, ControllerConfig(), pool, sim)
     assert outcome.summary.evaluated == 0
     assert outcome.summary.incomplete == 0
     assert outcome.summary.spend_micros == 0
@@ -65,14 +65,53 @@ def test_run_node_returns_final_results(scenario_dict):
         id="n", microtask_count=10, answer_domain=("x", "y"), agent_tag=AgentTag.MACHINE_ONLY
     )
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=50.0)
-    pool = AgentPool(
+    outcome = run_node(
+        node, slo, ControllerConfig(),
         workers=(),
         machines=(MachineAgentProfile(name="m", accuracy=1.0, service_time_per_item=1.0, capacity=4),),
+        seed=3,
     )
-    sim = Simulation(seed=3, horizon=to_ticks(50.0))
-    outcome = run_node(node, slo, ControllerConfig(), pool, sim)
     assert len(outcome.results) == 10
     assert outcome.summary.consensus == 10  # perfect machine always reaches consensus
+
+
+def _probe_node(elasticity: float, path) -> None:
+    """The README's library example, with the deadline cut from 1000 to 150
+    so that the controller raises the incentive, at the given elasticity."""
+    node = WorkflowNode(
+        id="label", microtask_count=200, answer_domain=("yes", "no"), agent_tag=AgentTag.EITHER
+    )
+    slo = SloSpec(accuracy_target=0.6, budget=20.0, deadline=150.0)
+    run_node(
+        node, slo, ControllerConfig(incentive_elasticity=elasticity),
+        workers=(
+            WorkerClass(
+                "crowd", accuracy=0.548, arrival_rate=0.5,
+                service_time=ServiceTime(family="exponential", mean=3.0),
+            ),
+        ),
+        machines=(MachineAgentProfile("clf", accuracy=0.672, service_time_per_item=1.0),),
+        seed=42,
+        trace_path=path,
+    )
+
+
+def test_run_node_runs_the_config_it_records(tmp_path):
+    """The engine builds the pool from the recorded config and the clock
+    from the SLO, so a different elasticity in the header is a different
+    run, and nothing happens past the deadline."""
+    arrivals = {}
+    for elasticity in (0.0, 1.0):
+        path = tmp_path / f"{elasticity}.jsonl"
+        _probe_node(elasticity, path)
+        records = read_trace(path)
+        header = records[0]
+        assert header["config"]["incentive_elasticity"] == elasticity
+        assert header["digest"]
+        assert any(r["kind"] == "action" and r["action"] == "raise_incentive" for r in records)
+        assert max(r["time"] for r in records) <= to_ticks(150.0)
+        arrivals[elasticity] = sum(r["kind"] == "worker_arrival" for r in records)
+    assert arrivals[0.0] != arrivals[1.0]
 
 
 # -- determinism and replay -------------------------------------------------------
@@ -124,7 +163,8 @@ def _run_human_node(path, reject):
         id="n", microtask_count=10, answer_domain=("yes", "no"), agent_tag=AgentTag.HUMAN_ONLY
     )
     slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=100.0)
-    pool = AgentPool(
+    run_node(
+        node, slo, ControllerConfig(),
         workers=(
             WorkerClass(
                 name="w", accuracy=0.9, arrival_rate=0.5,
@@ -132,9 +172,8 @@ def _run_human_node(path, reject):
             ),
         ),
         machines=(),
+        seed=1, trace_path=path, reject=reject,
     )
-    sim = Simulation(seed=1, horizon=to_ticks(100.0))
-    run_node(node, slo, ControllerConfig(), pool, sim, trace_path=path, reject=reject)
 
 
 @pytest.mark.parametrize("entry", [_run_minimal, _run_human_node])
@@ -214,7 +253,8 @@ def _engine_objects() -> Counter:
 def _run_hybrid_node() -> None:
     node = WorkflowNode(id="n", microtask_count=40, answer_domain=("yes", "no"))
     slo = SloSpec(accuracy_target=0.9, budget=1.0, deadline=50.0)
-    pool = AgentPool(
+    run_node(
+        node, slo, ControllerConfig(),
         workers=(
             WorkerClass(
                 name="w", accuracy=0.7, arrival_rate=0.5,
@@ -222,8 +262,8 @@ def _run_hybrid_node() -> None:
             ),
         ),
         machines=(MachineAgentProfile("m", accuracy=0.6, service_time_per_item=2.0, capacity=2),),
+        seed=3,
     )
-    run_node(node, slo, ControllerConfig(), pool, Simulation(seed=3, horizon=to_ticks(50.0)))
 
 
 def test_a_finished_run_leaves_no_cyclic_garbage(tmp_path):
