@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import reports
@@ -185,6 +184,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, overrides=[f"{args.param}={values[0]}"])
     out = _out_dir(args.out, f"out/sweep-{scenario.name}")
     jobs = [(args.scenario, args.param, value, args.seed, str(out)) for value in values]
+    # imported here, so run, report and validate do not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         rows = list(pool.map(_sweep_one, jobs))
 

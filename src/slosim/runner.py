@@ -41,10 +41,10 @@ from .tasks import (
     record_return,
     spawn_wtask,
 )
-from .trace import NodeSummary, RunSummary, TraceWriter
+from .trace import TRACE_SCHEMA, NodeSummary, RunSummary, TraceWriter
 from .units import TICKS_PER_UNIT, to_ticks, to_units
 from .voting import ConsensusResult, ConsensusStatus, decide
-from .workflow import AgentTag, WorkflowGraph, WorkflowNode, derive_node_slos, ready_nodes, validate
+from .workflow import AgentTag, WorkflowGraph, WorkflowNode, derive_node_slos, ready_nodes
 
 RejectPredicate = Callable[[str, str, str], bool]
 
@@ -171,9 +171,6 @@ class ExecutionEngine:
         """`seed` replaces the scenario's; the clock's horizon is the task
         deadline and the pool's elasticity the controller's."""
         graph = scenario.graph
-        report = validate(graph)
-        if not report.ok:
-            raise ValueError(f"invalid workflow graph: {report.render()}")
         config = scenario.controller
         self.scenario = scenario
         self.config = config
@@ -233,7 +230,7 @@ class ExecutionEngine:
         scenario = self.scenario
         self.emit(
             "header",
-            schema=1,
+            schema=TRACE_SCHEMA,
             scenario=scenario.name,
             digest=scenario.digest(),
             seed=self.sim.seed,
@@ -845,11 +842,12 @@ def run(
     overrides: list[str] | None = None,
     reject: RejectPredicate | None = None,
 ) -> RunResult:
-    """Execute a scenario end to end; SLO misses are reported, never raised."""
-    with TraceWriter(trace_path) as writer:
-        engine = ExecutionEngine(
-            scenario, writer=writer, seed=seed, overrides=overrides, reject=reject
-        )
+    """Execute a scenario end to end; SLO misses are reported, never raised.
+    A run that cannot start raises before its trace file is created."""
+    engine = ExecutionEngine(
+        scenario, writer=TraceWriter(trace_path), seed=seed, overrides=overrides, reject=reject
+    )
+    with engine.writer as writer:
         summary = engine.run()
     return RunResult(records=writer.records, summary=summary, trace_path=writer.path)
 
@@ -879,8 +877,8 @@ def run_node(
         machines=machines,
         controller=config,
     )
-    with TraceWriter(trace_path) as writer:
-        engine = ExecutionEngine(scenario, writer=writer, reject=reject)
+    engine = ExecutionEngine(scenario, writer=TraceWriter(trace_path), reject=reject)
+    with engine.writer as writer:
         summary = engine.run()
     node_summary = next(ns for ns in summary.nodes if ns.node_id == node.id)
     node_run = engine.runs[node.id]

@@ -178,6 +178,13 @@ class Scenario:
     script: tuple[ScriptEvent, ...] = ()
     schema_version: int = SCHEMA_VERSION
 
+    def __post_init__(self) -> None:
+        """Check the sections against each other; keep the script in time order."""
+        problems = _graph_problems(self.graph) or _check_references(self)
+        if problems:
+            raise ScenarioError(problems)
+        object.__setattr__(self, "script", tuple(sorted(self.script, key=lambda e: e.at)))
+
     @property
     def slo(self) -> SloSpec:
         return self.graph.task_slo
@@ -299,14 +306,9 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     graph = _parse_workflow(raw.get("workflow"), slo, problems)
     script = _sections(ScriptEvent, raw.get("script", []), "script", problems)
 
-    if graph is not None:
-        for violation in validate(graph).violations:
-            problems.append(f"workflow: {violation.kind}: {violation.detail}")
-    if not problems:  # so a class that failed to read is not also reported missing
-        assert graph is not None
-        _check_references(graph, workers, machines, script, problems)
-    if problems:
-        raise ScenarioError(problems)
+    if problems:  # a clean read leaves the graph and the references to Scenario's checks
+        graph_problems = _graph_problems(graph) if graph is not None else []
+        raise ScenarioError(problems + graph_problems)
     return Scenario(
         name=name,
         seed=seed,
@@ -315,40 +317,40 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         workers=tuple(workers),
         machines=tuple(machines),
         controller=controller,
-        script=tuple(sorted(script, key=lambda e: e.at)),
+        script=tuple(script),
     )
 
 
-def _check_references(
-    graph: WorkflowGraph,
-    workers: list[WorkerClass],
-    machines: list[MachineAgentProfile],
-    script: list[ScriptEvent],
-    problems: list[str],
-) -> None:
-    deadline = graph.task_slo.deadline
-    for node in graph.nodes:
+def _graph_problems(graph: WorkflowGraph) -> list[str]:
+    return [f"workflow: {v.kind}: {v.detail}" for v in validate(graph).violations]
+
+
+def _check_references(scenario: Scenario) -> list[str]:
+    problems: list[str] = []
+    deadline = scenario.slo.deadline
+    for node in scenario.graph.nodes:
         where = f"workflow.nodes[{node.id}]"
-        if node.agent_tag in (AgentTag.HUMAN_ONLY, AgentTag.EITHER) and not workers:
+        if node.agent_tag in (AgentTag.HUMAN_ONLY, AgentTag.EITHER) and not scenario.workers:
             problems.append(f"{where}: tag {node.agent_tag.value} needs at least one worker class")
-        if node.agent_tag in (AgentTag.MACHINE_ONLY, AgentTag.EITHER) and not machines:
+        if node.agent_tag in (AgentTag.MACHINE_ONLY, AgentTag.EITHER) and not scenario.machines:
             problems.append(f"{where}: tag {node.agent_tag.value} needs at least one machine profile")
         if node.slo is not None and node.slo.deadline > deadline:
             problems.append(
                 f"{where}: node deadline {node.slo.deadline} exceeds task deadline {deadline}"
             )
-    for where, items in (("workers", workers), ("machines", machines)):
+    for where, items in (("workers", scenario.workers), ("machines", scenario.machines)):
         declared: set[str] = set()
         for i, item in enumerate(items):
             if item.name in declared:
                 problems.append(f"{where}[{i}].name: {item.name!r} is already declared")
             declared.add(item.name)
-    classes = {w.name for w in workers}
-    for i, event in enumerate(script):
+    classes = {w.name for w in scenario.workers}
+    for i, event in enumerate(scenario.script):
         if event.worker_class not in classes:
             problems.append(
                 f"script[{i}].worker_class: {event.worker_class!r} is not a declared worker class"
             )
+    return problems
 
 
 def _unknown_keys(raw: dict[str, Any], known: Iterable[str], where: str, problems: list[str]) -> None:

@@ -64,6 +64,8 @@ class Simulation:
     tick an event may fire at."""
 
     def __init__(self, seed: int, horizon: int):
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative: {seed}")
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative: {horizon}")
         self.seed = seed

@@ -62,16 +62,15 @@ def dump_record(record: dict[str, Any]) -> str:
 
 class TraceWriter:
     """Folds each record into the run summary and keeps the record: in the
-    file when the writer has a path, in `records` when it has none."""
+    file when the writer has a path, in `records` when it has none.  The
+    file is created when the writer enters its `with` block, so a run whose
+    engine cannot be built leaves none."""
 
     def __init__(self, path: str | Path | None = None):
         self.reducer = SummaryReducer()
         self._stream: IO[str] | None = None
         self.path = Path(path) if path is not None else None
         self.records: list[dict[str, Any]] | None = [] if self.path is None else None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream = open(self.path, "w", encoding="utf-8", newline="\n")
 
     def emit(self, time: int, kind: str, fields: dict[str, Any]) -> dict[str, Any]:
         """Record `fields` plus time and kind.  `fields` itself becomes the
@@ -91,6 +90,9 @@ class TraceWriter:
             self._stream = None
 
     def __enter__(self) -> "TraceWriter":
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._stream = open(self.path, "w", encoding="utf-8", newline="\n")
         return self
 
     def __exit__(self, *exc: object) -> None:

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -481,6 +482,29 @@ def test_sweep_index_quotes_a_value_that_holds_a_quote(scenario_file, tmp_path):
     assert len(index) == 3
     assert index[1].startswith('"a""b",') and index[2].startswith("c,")
     assert (out / 'name=a"b' / "summary.json").exists()
+
+
+def test_a_negative_seed_writes_no_trace(scenarios_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", str(scenarios_dir / "minimal.yaml"), "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative: -1\n"
+    assert not (out / "trace.jsonl").exists()
+
+
+def test_a_negative_seed_writes_no_trace_at_any_sweep_point(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(scenario_file), "--param", "controller.replication_w", "--values", "1,3"]
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative: -1\n"
+    assert list(out.rglob("trace.jsonl")) == []
+
+
+def test_only_sweep_loads_the_process_pool():
+    # run, report and validate start no worker process, so the CLI module
+    # leaves multiprocessing to the sweep command
+    code = "import sys, slosim.cli; print('concurrent.futures.process' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert loaded.stdout == "False\n"
 
 
 def test_sweep_rejects_a_repeated_value(scenario_file, tmp_path, capsys):

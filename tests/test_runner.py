@@ -9,7 +9,7 @@ import slosim.runner
 from slosim.agents import MachineAgentProfile, ServiceTime, WorkerClass
 from slosim.controller import ControllerConfig, assess_risk, plan_corrective_actions
 from slosim.runner import ExecutionEngine, _NodeRun, run, run_node
-from slosim.scenario import load_scenario, scenario_from_dict
+from slosim.scenario import ScenarioError, load_scenario, scenario_from_dict
 from slosim.sim import SimEvent
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter, read_trace, summarize
@@ -195,6 +195,50 @@ def test_trace_file_is_closed_when_a_run_raises(entry, tmp_path, monkeypatch):
     # `raised` holds the failed run's frames, so an unclosed stream stays unflushed
     assert raised.traceback
     assert len(read_trace(path)) == len(emitted)
+
+
+_CROWD = WorkerClass(
+    name="w", accuracy=0.9, arrival_rate=0.5, service_time=ServiceTime(family="fixed", value=1.0)
+)
+_HUMAN_NODE = WorkflowNode(
+    id="n", microtask_count=5, answer_domain=("yes", "no"), agent_tag=AgentTag.HUMAN_ONLY
+)
+
+
+@pytest.mark.parametrize(
+    "node, deadline, workers, problem",
+    [
+        (_HUMAN_NODE, 100.0, (), "workflow.nodes[n]: tag human_only needs at least one worker class"),
+        (
+            WorkflowNode(
+                id="n", microtask_count=5, answer_domain=("yes", "no"),
+                agent_tag=AgentTag.HUMAN_ONLY,
+                slo=SloSpec(accuracy_target=0.5, budget=1.0, deadline=50.0),
+            ),
+            10.0,
+            (_CROWD,),
+            "workflow.nodes[n]: node deadline 50.0 exceeds task deadline 10.0",
+        ),
+        (_HUMAN_NODE, 100.0, (_CROWD, _CROWD), "workers[1].name: 'w' is already declared"),
+    ],
+    ids=["human_only_without_workers", "node_deadline_past_the_task", "worker_declared_twice"],
+)
+def test_run_node_checks_its_scenario_before_a_trace_exists(tmp_path, node, deadline, workers, problem):
+    """run_node's one-node scenario is checked as a file's is, so a node
+    that no scenario file could declare raises before any record."""
+    slo = SloSpec(accuracy_target=0.5, budget=1.0, deadline=deadline)
+    path = tmp_path / "out" / "trace.jsonl"
+    with pytest.raises(ScenarioError) as raised:
+        run_node(node, slo, ControllerConfig(), workers=workers, machines=(), seed=1, trace_path=path)
+    assert raised.value.problems == [problem]
+    assert not path.parent.exists()
+
+
+def test_a_negative_seed_raises_before_a_trace_exists(tmp_path):
+    path = tmp_path / "out" / "trace.jsonl"
+    with pytest.raises(ValueError, match="seed must be non-negative: -1"):
+        run(load_scenario(SCENARIOS_DIR / "minimal.yaml"), seed=-1, trace_path=path)
+    assert not path.parent.exists()
 
 
 def test_trace_times_non_decreasing(scenario_dict):

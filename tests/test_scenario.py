@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from slosim.agents import MachineAgentProfile, ServiceTime, WorkerClass
 from slosim.controller import ControllerConfig
 from slosim.runner import run
 from slosim.scenario import (
+    Scenario,
     ScenarioError,
     _yaml_error_line,
     apply_overrides,
@@ -266,6 +268,47 @@ def test_cycle_reported_through_scenario(scenario_dict):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(raw)
     assert any("cycle" in p for p in exc.value.problems)
+
+
+def test_a_bad_field_and_a_cycle_are_both_reported(scenario_dict):
+    raw = scenario_dict()
+    raw["workers"][0]["accuracy"] = "high"
+    raw["workflow"]["nodes"].append({"id": "second", "microtask_count": 5, "answer_domain": ["a", "b"]})
+    raw["workflow"]["edges"] = [["label", "second"], ["second", "label"]]
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.problems == [
+        "workers[0].accuracy: must be a number, got 'high'",
+        "workflow: cycle: dependency cycle: second -> label",
+    ]
+
+
+def test_a_script_problem_names_the_event_by_its_place_in_the_file(scenario_dict):
+    events = [(20.0, "crowd"), (10.0, "feld")]
+    raw = scenario_dict(
+        script=[{"at": at, "action": "set_arrival_rate", "worker_class": name, "rate": 0.0} for at, name in events]
+    )
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.problems == ["script[1].worker_class: 'feld' is not a declared worker class"]
+    raw["script"][1]["worker_class"] = "crowd"
+    assert [event.at for event in scenario_from_dict(raw).script] == [10.0, 20.0]
+
+
+def test_a_scenario_built_in_code_is_checked_as_a_file_is(scenario_dict):
+    scenario = scenario_from_dict(scenario_dict())
+    controller = dataclasses.replace(scenario.controller, corrections_enabled=False)
+    assert dataclasses.replace(scenario, controller=controller).controller == controller
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(scenario, workers=scenario.workers * 2)
+    assert exc.value.problems == ["workers[1].name: 'crowd' is already declared"]
+    graph = dataclasses.replace(scenario.graph, edges=frozenset({("label", "label")}))
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(
+            name="self-loop", seed=1, time_unit="minute", graph=graph,
+            workers=scenario.workers, machines=scenario.machines, controller=scenario.controller,
+        )
+    assert exc.value.problems == ["workflow: cycle: dependency cycle: label"]
 
 
 def test_script_validation(scenario_dict):

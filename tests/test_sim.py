@@ -13,6 +13,11 @@ def handler(owner, *args):
     owner.append(args)
 
 
+def test_a_negative_seed_is_rejected_when_the_simulation_is_built():
+    with pytest.raises(ValueError, match="seed must be non-negative: -1"):
+        Simulation(seed=-1, horizon=10)
+
+
 def test_step_advances_to_next_event():
     s = sim()
     s.schedule(4, handler)
