@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import reports
 from .runner import run as run_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 from .trace import RunSummary, iter_trace
 from .units import to_money
 
@@ -76,14 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(flag_value: str | None, default: str) -> Path:
-    directory = flag_value or os.environ.get(OUT_DIR_ENV) or default
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(flag_value or os.environ.get(OUT_DIR_ENV) or default)
 
 
-def _write_summary(path: Path, summary: RunSummary) -> None:
-    path.write_text(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8")
+def _run_point(scenario: Scenario, seed: int | None, overrides: list[str], out: Path) -> RunSummary:
+    """Run `scenario` into `out/trace.jsonl` and write `out/summary.json`; the
+    trace writer creates `out`, so a run that cannot start leaves none."""
+    summary = run_scenario(
+        scenario, seed=seed, trace_path=out / "trace.jsonl", overrides=overrides
+    ).summary
+    text = json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    (out / "summary.json").write_text(text, "utf-8")
+    return summary
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -100,14 +104,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, overrides=args.overrides)
     out = _out_dir(args.out, f"out/{scenario.name}")
-    result = run_scenario(
-        scenario,
-        seed=args.seed,
-        trace_path=out / "trace.jsonl",
-        overrides=args.overrides,
-    )
-    summary = result.summary
-    _write_summary(out / "summary.json", summary)
+    summary = _run_point(scenario, args.seed, args.overrides, out)
     print(f"scenario {summary.scenario} seed {summary.seed}")
     print(
         f"  evaluated {summary.evaluated}/{summary.microtask_total}"
@@ -122,7 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         status = "met" if verdict.met else "missed"
         print(f"  slo {name}: {status} (margin {verdict.margin:+.4f})")
-    print(f"  trace: {result.trace_path}")
+    print(f"  trace: {out / 'trace.jsonl'}")
     return 0
 
 
@@ -134,6 +131,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(text)
         return 0
     out = _out_dir(args.out, "out/report")
+    out.mkdir(parents=True, exist_ok=True)
     suffix = "csv" if args.format == "csv" else "txt"
     for name, text in rendered.items():
         (out / f"{name}.{suffix}").write_text(text, encoding="utf-8")
@@ -141,19 +139,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_one(packed: tuple[str, str, str, int | None, str]) -> dict:
-    scenario_path, param, value, seed, out_dir = packed
-    override = f"{param}={value}"
-    scenario = load_scenario(scenario_path, overrides=[override])
-    point_dir = Path(out_dir) / f"{param.replace('.', '_')}={value}"
-    result = run_scenario(
-        scenario,
-        seed=seed,
-        trace_path=point_dir / "trace.jsonl",
-        overrides=[override],
-    )
-    summary = result.summary
-    _write_summary(point_dir / "summary.json", summary)
+def _sweep_one(packed: tuple[Scenario, int | None, str, str, Path]) -> dict:
+    scenario, seed, override, value, point_dir = packed
+    summary = _run_point(scenario, seed, [override], point_dir)
     return {
         "value": value,
         "evaluated": summary.evaluated,
@@ -180,10 +168,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # --seed would override the swept value at every point
         print("error: --seed cannot be combined with --param seed", file=sys.stderr)
         return 2
-    # validate once up front so a bad scenario fails before any runs start
-    scenario = load_scenario(args.scenario, overrides=[f"{args.param}={values[0]}"])
-    out = _out_dir(args.out, f"out/sweep-{scenario.name}")
-    jobs = [(args.scenario, args.param, value, args.seed, str(out)) for value in values]
+    # every point is loaded and checked before any of them runs
+    overrides = [f"{args.param}={value}" for value in values]
+    scenarios = [load_scenario(args.scenario, overrides=[override]) for override in overrides]
+    out = _out_dir(args.out, f"out/sweep-{scenarios[0].name}")
+    label = args.param.replace(".", "_")
+    jobs = [
+        (scenario, args.seed, override, value, out / f"{label}={value}")
+        for scenario, override, value in zip(scenarios, overrides, values)
+    ]
     # imported here, so run, report and validate do not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

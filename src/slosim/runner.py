@@ -21,7 +21,6 @@ from .controller import (
     BudgetLedger,
     ControllerConfig,
     PollObservation,
-    _scaled_reward_micros,
     assess_risk,
     partition,
     plan_corrective_actions,
@@ -78,6 +77,7 @@ class _NodeRun:
         self.deadline = slo.deadline_ticks
         self.hm_ratio = config.initial_hm_ratio
         self.incentive_multiplier = 1.0
+        self.reward_micros = config.reward_micros  # at the current multiplier
         self.completion_rate: float | None = None  # EWMA, microtasks per time unit
         self.n_human = 0  # human-routed microtasks not yet decided
         self.microtasks: dict[str, Microtask] = {}
@@ -188,7 +188,6 @@ class ExecutionEngine:
 
         self.node_slos = derive_node_slos(graph)
         self.ledger = BudgetLedger(scenario.slo.budget_micros)
-        self.base_reward_micros = config.reward_micros
         self.min_reward_by_class = {w.name: w.min_reward_micros for w in scenario.workers}
         self.runs: dict[str, _NodeRun] = {}
         self._active: list[_NodeRun] = []  # the unfinished runs, in node-id order
@@ -317,11 +316,10 @@ class ExecutionEngine:
             self._finalize_node(run)
             return
 
-        reward = _scaled_reward_micros(self.base_reward_micros, run.incentive_multiplier)
         for mt_id in sorted(run.microtasks):
             microtask = run.microtasks[mt_id]
             if microtask.route is Route.HUMAN:
-                self._spawn_human(run, microtask, reward)
+                self._spawn_human(run, microtask)
             else:
                 self._enqueue_machine(run, microtask)
 
@@ -336,7 +334,7 @@ class ExecutionEngine:
         self._dispatch_workers()
         self._dispatch_machines()
 
-    def _spawn_human(self, run: _NodeRun, microtask: Microtask, reward: int) -> None:
+    def _spawn_human(self, run: _NodeRun, microtask: Microtask) -> None:
         wtask = spawn_wtask(microtask, self.config.replication_w, run.deadline)
         run.wtasks[microtask.id] = wtask
         run.reopen(microtask.id)
@@ -345,7 +343,7 @@ class ExecutionEngine:
             node=run.node.id,
             microtask=microtask.id,
             w=self.config.replication_w,
-            reward=reward,
+            reward=run.reward_micros,
             completion_deadline=wtask.completion_deadline,
             expiry_deadline=run.deadline,
         )
@@ -391,27 +389,24 @@ class ExecutionEngine:
             return
         now = self.sim.now
         headroom = self.ledger.headroom_micros
-        candidates = []
-        for run in self._active:
-            if now >= run.deadline or not run.open_wtasks:
-                continue
-            reward = _scaled_reward_micros(self.base_reward_micros, run.incentive_multiplier)
-            if reward <= headroom:
-                candidates.append((run, reward))
+        candidates = [
+            run
+            for run in self._active
+            if now < run.deadline and run.open_wtasks and run.reward_micros <= headroom
+        ]
         if not candidates:
             return
         for agent_id in self.pool.idle_workers():
             placement = self._find_slot(agent_id, candidates)
             if placement is not None:
-                run, mt_id, reward = placement
-                self._issue(run, mt_id, agent_id, reward)
+                run, mt_id = placement
+                self._issue(run, mt_id, agent_id)
 
-    def _find_slot(
-        self, agent_id: str, candidates: list[tuple[_NodeRun, int]]
-    ) -> tuple[_NodeRun, str, int] | None:
+    def _find_slot(self, agent_id: str, candidates: list[_NodeRun]) -> tuple[_NodeRun, str] | None:
         min_reward = self.min_reward_by_class[self.pool.class_of(agent_id).name]
         now = self.sim.now
-        for run, reward in candidates:
+        for run in candidates:
+            reward = run.reward_micros
             if min_reward > reward:
                 continue
             for mt_id in run.open_wtasks:
@@ -422,10 +417,11 @@ class ExecutionEngine:
                     continue
                 if not self.ledger.commit(reward):
                     break  # this node's reward does not fit; try a cheaper node
-                return run, mt_id, reward
+                return run, mt_id
         return None
 
-    def _issue(self, run: _NodeRun, mt_id: str, agent_id: str, reward: int) -> None:
+    def _issue(self, run: _NodeRun, mt_id: str, agent_id: str) -> None:
+        reward = run.reward_micros
         wtask = run.wtasks[mt_id]
         worker_class = self.pool.class_of(agent_id)
         first_pickup = wtask.first_issued_at is None
@@ -691,7 +687,7 @@ class ExecutionEngine:
             hm_ratio=run.hm_ratio,
             incentive_multiplier=run.incentive_multiplier,
             headroom_micros=self.ledger.headroom_micros,
-            reward_micros=_scaled_reward_micros(self.base_reward_micros, run.incentive_multiplier),
+            reward_micros=run.reward_micros,
             timed_out_slots=run.timed_out_since_poll,
             unresolved_human=run.n_human,
             unpicked_human=len(unpicked),
@@ -733,6 +729,7 @@ class ExecutionEngine:
             self._dispatch_workers()
         elif action.kind == "raise_incentive":
             run.incentive_multiplier = action.params["multiplier"]
+            run.reward_micros = action.params["reward_micros"]
             peak = max(r.incentive_multiplier for r in self._active)
             self.pool.apply_incentive(peak)
             self._dispatch_workers()  # idle workers may now meet their price

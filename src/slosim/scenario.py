@@ -149,6 +149,10 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(problems))
         self.problems = problems
 
+    def __reduce__(self):
+        # the default rebuilds from args, the joined message, as a problem list
+        return type(self), (self.problems,)
+
 
 @dataclass(frozen=True)
 class ScriptEvent:

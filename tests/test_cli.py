@@ -281,6 +281,14 @@ def test_report_csv_files(scenario_file, tmp_path):
         assert (rep / f"{name}.csv").exists()
 
 
+def test_report_out_creates_a_nested_directory(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    main(["run", str(scenario_file), "--out", str(out)])
+    rep = tmp_path / "a" / "b" / "rep"
+    assert main(["report", str(out / "trace.jsonl"), "--out", str(rep)]) == 0
+    assert sorted(path.name for path in rep.iterdir()) == ["arrivals.txt", "classes.txt", "control.txt"]
+
+
 def test_report_bad_trace_line_is_config_error(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", str(scenario_file), "--out", str(out)])
@@ -488,7 +496,7 @@ def test_a_negative_seed_writes_no_trace(scenarios_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", str(scenarios_dir / "minimal.yaml"), "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative: -1\n"
-    assert not (out / "trace.jsonl").exists()
+    assert not out.exists()
 
 
 def test_a_negative_seed_writes_no_trace_at_any_sweep_point(scenario_file, tmp_path, capsys):
@@ -496,7 +504,28 @@ def test_a_negative_seed_writes_no_trace_at_any_sweep_point(scenario_file, tmp_p
     argv = ["sweep", str(scenario_file), "--param", "controller.replication_w", "--values", "1,3"]
     assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed must be non-negative: -1\n"
-    assert list(out.rglob("trace.jsonl")) == []
+    assert not out.exists()
+
+
+def test_sweep_checks_every_value_before_any_point_runs(scenarios_dir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(scenarios_dir / "minimal.yaml"), "--param", "controller.polling_intervals"]
+    assert main(argv + ["--values", "5,abc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: controller.polling_intervals: must be an integer, got 'abc'\n"
+    )
+    assert not out.exists()
+
+
+def test_a_sweep_point_writes_what_run_writes_with_its_override(scenarios_dir, tmp_path):
+    scenario = str(scenarios_dir / "minimal.yaml")
+    sweep, single = tmp_path / "sweep", tmp_path / "run"
+    param = "controller.polling_intervals"
+    assert main(["sweep", scenario, "--param", param, "--values", "5,7", "--out", str(sweep)]) == 0
+    assert main(["run", scenario, "--set", f"{param}=7", "--out", str(single)]) == 0
+    point = sweep / "controller_polling_intervals=7"
+    for name in ("trace.jsonl", "summary.json"):
+        assert (point / name).read_bytes() == (single / name).read_bytes()
 
 
 def test_only_sweep_loads_the_process_pool():

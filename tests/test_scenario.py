@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,6 +69,15 @@ def test_unknown_controller_field_flagged(scenario_dict):
         scenario_from_dict(raw)
     assert any("controller.turbo" in p for p in exc.value.problems)
 
+
+
+def test_scenario_error_survives_pickling():
+    # a pool of worker processes sends a raised error back pickled
+    error = ScenarioError(["slo.budget: must be > 0", "workers[0].accuracy: must be <= 1"])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is ScenarioError
+    assert str(copy) == str(error)
+    assert copy.problems == error.problems
 
 def _at(raw, section):
     """The mapping at a problem's `where` path, e.g. `workers[0].service_time`."""
