@@ -144,7 +144,8 @@ class _MachineStation:
 
 class _Streams(dict):
     """The random streams of one kind, by worker class or machine profile
-    name; each is taken from the simulation on its first draw."""
+    name; each is taken from the simulation on its first draw.  Its label
+    escapes "%" and "/" in the name, so no two kinds share a stream."""
 
     def __init__(self, sim: Simulation, prefix: str):
         super().__init__()
@@ -152,7 +153,8 @@ class _Streams(dict):
         self.prefix = prefix
 
     def __missing__(self, name: str):
-        stream = self[name] = self.sim.rng(self.prefix + name)
+        label = self.prefix + name.replace("%", "%25").replace("/", "%2F")
+        stream = self[name] = self.sim.rng(label)
         return stream
 
 
@@ -226,42 +228,44 @@ class ExecutionEngine:
     # -- run ------------------------------------------------------------------
 
     def run(self) -> RunSummary:
-        scenario = self.scenario
-        self.emit(
-            "header",
-            schema=TRACE_SCHEMA,
-            scenario=scenario.name,
-            digest=scenario.digest(),
-            seed=self.sim.seed,
-            time_unit=scenario.time_unit,
-            config=asdict(self.config),
-            task_slo=self._slo_fields(scenario.slo),
-            overrides=list(self.overrides),
-        )
-        for event in scenario.script:
-            self.sim.schedule(
-                to_ticks(event.at), ExecutionEngine._on_script, event.worker_class, event.rate
+        """Run the scenario; a writer with a path has its file open only in here."""
+        with self.writer:
+            scenario = self.scenario
+            self.emit(
+                "header",
+                schema=TRACE_SCHEMA,
+                scenario=scenario.name,
+                digest=scenario.digest(),
+                seed=self.sim.seed,
+                time_unit=scenario.time_unit,
+                config=asdict(self.config),
+                task_slo=self._slo_fields(scenario.slo),
+                overrides=list(self.overrides),
             )
-        for worker_class in scenario.workers:
-            self._schedule_arrival(worker_class.name)
-        self._activate_ready()
+            for event in scenario.script:
+                self.sim.schedule(
+                    to_ticks(event.at), ExecutionEngine._on_script, event.worker_class, event.rate
+                )
+            for worker_class in scenario.workers:
+                self._schedule_arrival(worker_class.name)
+            self._activate_ready()
 
-        sim = self.sim
-        while self._unfinished:
-            try:
-                event = sim.step()
-            except (EmptyQueue, HorizonExceeded):
-                break
-            event.handler(self, *event.args)
+            sim = self.sim
+            while self._unfinished:
+                try:
+                    event = sim.step()
+                except (EmptyQueue, HorizonExceeded):
+                    break
+                event.handler(self, *event.args)
 
-        for run in list(self._active):
-            self._finalize_node(run)
-        finish = max((r.finish_tick or 0 for r in self.runs.values()), default=0)
-        self._emit_ledger(
-            "run_end",
-            finish=finish,
-            events=self.sim.end_report(),
-        )
+            for run in list(self._active):
+                self._finalize_node(run)
+            finish = max((r.finish_tick or 0 for r in self.runs.values()), default=0)
+            self._emit_ledger(
+                "run_end",
+                finish=finish,
+                events=self.sim.end_report(),
+            )
         return self.writer.reducer.result()
 
     # -- node activation ------------------------------------------------------
@@ -844,8 +848,8 @@ def run(
     engine = ExecutionEngine(
         scenario, writer=TraceWriter(trace_path), seed=seed, overrides=overrides, reject=reject
     )
-    with engine.writer as writer:
-        summary = engine.run()
+    summary = engine.run()
+    writer = engine.writer
     return RunResult(records=writer.records, summary=summary, trace_path=writer.path)
 
 
@@ -875,9 +879,8 @@ def run_node(
         controller=config,
     )
     engine = ExecutionEngine(scenario, writer=TraceWriter(trace_path), reject=reject)
-    with engine.writer as writer:
-        summary = engine.run()
+    summary = engine.run()
     node_summary = next(ns for ns in summary.nodes if ns.node_id == node.id)
     node_run = engine.runs[node.id]
     results = {mt: node_run.results[mt] for mt in sorted(node_run.final)}
-    return NodeOutcome(summary=node_summary, results=results, records=writer.records)
+    return NodeOutcome(summary=node_summary, results=results, records=engine.writer.records)

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Literal
@@ -508,42 +508,36 @@ def _parse_workflow(raw: Any, slo: SloSpec | None, problems: list[str]) -> Workf
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Inverse of scenario_from_dict; load(write(s)) == s."""
-    nodes = []
-    for node in scenario.graph.nodes:
-        entry = asdict(node)
-        entry["agent_tag"] = node.agent_tag.value
-        entry["answer_domain"] = list(node.answer_domain)
-        if node.slo is None:
-            del entry["slo"]  # absent, not null: the key set feeds Scenario.digest
-        nodes.append(entry)
-
-    workers = []
-    for worker in scenario.workers:
-        entry = asdict(worker)
-        # a family's unused parameters are absent, not null
-        entry["service_time"] = {k: v for k, v in entry["service_time"].items() if v is not None}
-        workers.append(entry)
-
-    controller = asdict(scenario.controller)
-    if controller["assignment_window"] is None:
-        # absent, not null: the key set feeds Scenario.digest
-        del controller["assignment_window"]
-
+    """Inverse of scenario_from_dict; load(write(s)) == s.  Each section is
+    written by `_plain`, so a field at None is absent, not null: the key set
+    feeds Scenario.digest, and an unset optional field leaves it alone."""
     raw: dict[str, Any] = {
         "schema_version": scenario.schema_version,
         "name": scenario.name,
         "seed": scenario.seed,
         "time_unit": scenario.time_unit,
-        "slo": asdict(scenario.slo),
-        "controller": controller,
+        "slo": _plain(scenario.slo),
+        "controller": _plain(scenario.controller),
         "workflow": {
-            "nodes": nodes,
+            "nodes": _plain(scenario.graph.nodes),
             "edges": sorted([list(edge) for edge in scenario.graph.edges]),
         },
-        "workers": workers,
-        "machines": [asdict(m) for m in scenario.machines],
+        "workers": _plain(scenario.workers),
+        "machines": _plain(scenario.machines),
     }
     if scenario.script:
-        raw["script"] = [asdict(event) for event in scenario.script]
+        raw["script"] = _plain(scenario.script)
     return raw
+
+
+def _plain(value: Any) -> Any:
+    """`value` as YAML data: a dataclass as the mapping of its fields that
+    are not None, in field order, an Enum as its value, a tuple as a list."""
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _plain(item) for name, item in items if item is not None}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value

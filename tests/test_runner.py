@@ -241,6 +241,29 @@ def test_a_negative_seed_raises_before_a_trace_exists(tmp_path):
     assert not path.parent.exists()
 
 
+def test_a_direct_engine_run_writes_the_trace_that_run_writes(tmp_path):
+    """ExecutionEngine.run opens the writer it is given, so a direct run
+    with a file writer needs no `with` block of its own."""
+    scenario = load_scenario(SCENARIOS_DIR / "minimal.yaml")
+    ExecutionEngine(scenario, writer=TraceWriter(tmp_path / "direct.jsonl")).run()
+    run(scenario, trace_path=tmp_path / "run.jsonl")
+    assert (tmp_path / "direct.jsonl").read_bytes() == (tmp_path / "run.jsonl").read_bytes()
+
+
+def test_a_worker_class_never_shares_a_machine_profiles_answer_stream():
+    """Worker class `machine/classifier` answers from `answers/` + its name
+    and machine profile `classifier` from `answers/machine/` + its name;
+    the escaped name keeps the two labels, and so the two streams, apart."""
+    overrides = ["workers.0.name=machine/classifier"]
+    scenario = load_scenario(SCENARIOS_DIR / "minimal.yaml", overrides=overrides)
+    assert scenario.machines[0].name == "classifier"
+    engine = ExecutionEngine(scenario, writer=TraceWriter(None))
+    engine.run()
+    assert len(engine.sim._streams) == 6
+    human = engine._answer_rngs["machine/classifier"]
+    assert human is not engine._machine_answer_rngs["classifier"]
+
+
 def test_trace_times_non_decreasing(scenario_dict):
     result = run_raw(scenario_dict())
     times = [r["time"] for r in result.records]

@@ -25,7 +25,9 @@ from slosim.scenario import (
 from slosim.slo import SloSpec
 from slosim.workflow import WorkflowNode
 
+from conftest import SCENARIOS_DIR
 from test_acceptance import _random_budget_scenario
+from test_random_graphs import _scenarios as _random_graph_scenarios
 
 SECTION_CLASSES = (
     SloSpec, ControllerConfig, WorkerClass, ServiceTime, MachineAgentProfile, WorkflowNode,
@@ -581,3 +583,77 @@ def test_controller_fields_round_trip_and_omit_unset_window(scenario_dict):
     assert controller["assignment_window"] == 4.0
     assert set(controller) == {f.name for f in fields(ControllerConfig)}
     assert scenario_from_dict(scenario_to_dict(windowed)) == windowed
+
+
+# -- writing a scenario -----------------------------------------------------------
+
+
+def _noted(item):
+    """`item` as an instance of a subclass of its dataclass that adds the
+    optional field `note`, left at None."""
+    cls = dataclasses.make_dataclass(
+        f"Noted{type(item).__name__}", [("note", str | None, None)], bases=(type(item),), frozen=True
+    )
+    return cls(**{f.name: getattr(item, f.name) for f in fields(item)})
+
+
+def _noted_first(items: tuple) -> tuple:
+    return (_noted(items[0]),) + items[1:]
+
+
+def _noted_service_time(worker: WorkerClass) -> WorkerClass:
+    return dataclasses.replace(worker, service_time=_noted(worker.service_time))
+
+
+# each gives the scenario with one item of one section noted
+NOTED_SECTIONS = {
+    "workers": lambda s: dataclasses.replace(s, workers=_noted_first(s.workers)),
+    "machines": lambda s: dataclasses.replace(s, machines=_noted_first(s.machines)),
+    "script": lambda s: dataclasses.replace(s, script=_noted_first(s.script)),
+    "controller": lambda s: dataclasses.replace(s, controller=_noted(s.controller)),
+    "nodes": lambda s: dataclasses.replace(
+        s, graph=dataclasses.replace(s.graph, nodes=_noted_first(s.graph.nodes))
+    ),
+    "slo": lambda s: dataclasses.replace(s, graph=dataclasses.replace(s.graph, task_slo=_noted(s.slo))),
+    "service_time": lambda s: dataclasses.replace(
+        s, workers=(_noted_service_time(s.workers[0]),) + s.workers[1:]
+    ),
+}
+
+
+@pytest.mark.parametrize("section", sorted(NOTED_SECTIONS))
+def test_an_unset_optional_field_leaves_the_digest_alone(section):
+    """A field at None is written absent, so a section dataclass that gains
+    an optional field moves no digest until a scenario sets it."""
+    scenario = load_scenario(SCENARIOS_DIR / "starvation.yaml")
+    noted = NOTED_SECTIONS[section](scenario)
+    assert noted != scenario
+    assert scenario_to_dict(noted) == scenario_to_dict(scenario)
+    assert noted.digest() == scenario.digest()
+
+
+def _nulls(value, path: str = ""):
+    """The paths in the plain data `value` that hold None."""
+    if value is None:
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nulls(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _nulls(item, f"{path}[{index}]")
+
+
+def test_a_written_scenario_holds_no_null_and_reads_back_equal():
+    """Over the shipped scenarios, the first 30 C05 fuzz scenarios and the
+    random graphs, each with its unset optional fields."""
+    rng = np.random.default_rng(424242)
+    corpus = [load_scenario(path) for path in sorted(SCENARIOS_DIR.glob("*.yaml"))]
+    corpus += [scenario_from_dict(_random_budget_scenario(rng)) for _ in range(30)]
+    corpus += _random_graph_scenarios()
+    assert any(s.controller.assignment_window is None for s in corpus)
+    assert any(n.slo is not None for s in corpus for n in s.graph.nodes)
+    for index, scenario in enumerate(corpus):
+        raw = scenario_to_dict(scenario)
+        assert list(_nulls(raw)) == [], (index, scenario.name)
+        assert scenario_from_dict(raw) == scenario, (index, scenario.name)
