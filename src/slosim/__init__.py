@@ -35,7 +35,6 @@ from .slo import SloSpec
 from .tasks import (
     AssignmentRecord,
     Microtask,
-    Route,
     WTask,
     expire_overdue,
     issue_assignment,
@@ -81,7 +80,6 @@ __all__ = [
     "NodeOutcome",
     "PollObservation",
     "RiskFlag",
-    "Route",
     "RunResult",
     "RunSummary",
     "Scenario",

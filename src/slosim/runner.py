@@ -33,7 +33,6 @@ from .slo import SloSpec
 from .tasks import (
     AssignmentRecord,
     Microtask,
-    Route,
     WTask,
     expire_overdue,
     issue_assignment,
@@ -79,8 +78,8 @@ class _NodeRun:
         self.incentive_multiplier = 1.0
         self.reward_micros = config.reward_micros  # at the current multiplier
         self.completion_rate: float | None = None  # EWMA, microtasks per time unit
-        self.n_human = 0  # human-routed microtasks not yet decided
         self.microtasks: dict[str, Microtask] = {}
+        # a microtask is with the crowd, and undecided, exactly while it has a w-task here
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
         self.results: dict[str, ConsensusResult] = {}
@@ -118,11 +117,7 @@ class _NodeRun:
             del self.open_wtasks[i]
 
     def unpicked_human_ids(self) -> list[str]:
-        return [
-            mt_id
-            for mt_id in self.open_wtasks
-            if self.wtasks[mt_id].first_issued_at is None and mt_id not in self.final
-        ]
+        return [mt_id for mt_id in self.open_wtasks if self.wtasks[mt_id].first_issued_at is None]
 
     def check_conservation(self) -> None:
         if len(self.microtasks) != self.node.microtask_count:
@@ -292,7 +287,6 @@ class ExecutionEngine:
             n_human, n_machine = 0, n
         else:
             n_human, n_machine = partition(n, run.hm_ratio)
-        run.n_human = n_human
 
         self.emit(
             "node_start",
@@ -312,20 +306,20 @@ class ExecutionEngine:
         truth_indices = truth_rng.integers(len(domain), size=n).tolist()
         for i, truth_index in enumerate(truth_indices):
             mt_id = f"{node_id}:{i:05d}"
-            route = Route.HUMAN if i < n_human else Route.MACHINE
-            run.microtasks[mt_id] = Microtask(id=mt_id, route=route, truth=domain[truth_index])
+            run.microtasks[mt_id] = Microtask(id=mt_id, truth=domain[truth_index])
 
         if run.deadline <= now or n == 0:
             # window already elapsed (a predecessor overran) or nothing to do
             self._finalize_node(run)
             return
 
-        for mt_id in sorted(run.microtasks):
-            microtask = run.microtasks[mt_id]
-            if microtask.route is Route.HUMAN:
-                self._spawn_human(run, microtask)
-            else:
-                self._enqueue_machine(run, microtask)
+        # the first n_human by index go to the crowd; each side is taken in id
+        # order, which past 99999 is not index order
+        ids = list(run.microtasks)
+        for mt_id in sorted(ids[:n_human]):
+            self._spawn_human(run, mt_id)
+        for mt_id in sorted(ids[n_human:]):
+            self._enqueue_machine(run, run.microtasks[mt_id])
 
         for index, instant in enumerate(
             poll_instants(now, run.deadline, self.config.polling_intervals)
@@ -338,14 +332,14 @@ class ExecutionEngine:
         self._dispatch_workers()
         self._dispatch_machines()
 
-    def _spawn_human(self, run: _NodeRun, microtask: Microtask) -> None:
-        wtask = spawn_wtask(microtask, self.config.replication_w, run.deadline)
-        run.wtasks[microtask.id] = wtask
-        run.reopen(microtask.id)
+    def _spawn_human(self, run: _NodeRun, mt_id: str) -> None:
+        wtask = spawn_wtask(mt_id, self.config.replication_w, run.deadline)
+        run.wtasks[mt_id] = wtask
+        run.reopen(mt_id)
         self.emit(
             "wtask_spawned",
             node=run.node.id,
-            microtask=microtask.id,
+            microtask=mt_id,
             w=self.config.replication_w,
             reward=run.reward_micros,
             completion_deadline=wtask.completion_deadline,
@@ -462,7 +456,8 @@ class ExecutionEngine:
         wtask = run.wtasks.get(mt_id)
 
         if wtask is None or agent_id not in wtask.pending:
-            # assignment already timed out / node finalized; just free the worker
+            # assignment already timed out / microtask decided / node finalized;
+            # just free the worker
             self._release_worker(agent_id, worker_class)
             return
 
@@ -549,7 +544,7 @@ class ExecutionEngine:
             return
         wtask = run.wtasks.get(mt_id)
         if wtask is None:
-            return  # rerouted to a machine
+            return  # decided, or rerouted to a machine
         # nothing reopens a w-task after its window, so it leaves the open
         # list here even when no assignment was pending
         run.close(mt_id)
@@ -565,12 +560,8 @@ class ExecutionEngine:
     def _evaluate_votes(self, run: _NodeRun, mt_id: str, final: bool = False) -> None:
         if mt_id in run.final:
             return
-        microtask = run.microtasks[mt_id]
-        if microtask.route is Route.HUMAN:
-            wtask = run.wtasks.get(mt_id)
-            votes = wtask.votes() if wtask is not None else []
-        else:
-            votes = microtask.machine_votes
+        wtask = run.wtasks.get(mt_id)
+        votes = wtask.votes() if wtask is not None else run.microtasks[mt_id].machine_votes
         result = decide(mt_id, votes, run.node.answer_domain, self.config.vote_rule)
         if result is None:
             return  # no votes: stays incomplete unless votes arrive
@@ -584,8 +575,7 @@ class ExecutionEngine:
             run.final.add(mt_id)
             run.no_consensus_pending.discard(mt_id)
             run.close(mt_id)
-            if microtask.route is Route.HUMAN:
-                run.n_human -= 1
+            run.wtasks.pop(mt_id, None)
         else:
             run.no_consensus_pending.add(mt_id)
         self.emit(
@@ -693,7 +683,7 @@ class ExecutionEngine:
             headroom_micros=self.ledger.headroom_micros,
             reward_micros=run.reward_micros,
             timed_out_slots=run.timed_out_since_poll,
-            unresolved_human=run.n_human,
+            unresolved_human=len(run.wtasks),
             unpicked_human=len(unpicked),
             no_consensus_ids=tuple(sorted(run.no_consensus_pending)),
             reroutable=run.node.agent_tag is AgentTag.EITHER,
@@ -749,24 +739,21 @@ class ExecutionEngine:
             self._dispatch_machines()
 
     def _reroute_to_machine(self, run: _NodeRun, mt_id: str) -> None:
-        microtask = run.microtasks[mt_id]
         run.close(mt_id)
-        run.wtasks.pop(mt_id, None)
-        microtask.route = Route.MACHINE
-        run.n_human -= 1
+        del run.wtasks[mt_id]
         self.emit("reroute", node=run.node.id, microtask=mt_id)
-        self._enqueue_machine(run, microtask)
+        self._enqueue_machine(run, run.microtasks[mt_id])
 
     def _escalate(self, run: _NodeRun, mt_id: str) -> None:
-        microtask = run.microtasks[mt_id]
-        if microtask.route is Route.HUMAN:
-            wtask = run.wtasks[mt_id]
+        wtask = run.wtasks.get(mt_id)
+        if wtask is not None:
             if self.sim.now > wtask.completion_deadline:
                 return
             wtask.want_votes += 1
             run.reopen(mt_id)
             want = wtask.want_votes
         else:
+            microtask = run.microtasks[mt_id]
             microtask.machine_want += 1
             want = microtask.machine_want
             self.machine_queue.append((run.node.id, mt_id))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
@@ -132,11 +133,20 @@ WORKFLOW_FIELDS = ("nodes", "edges")
 # how a field of each annotation is read: the exact types it takes, how a
 # problem names it, and what turns a taken value into the field's value
 # (None: the value itself).  A float field also takes an int, stored as a
-# float, and only bool takes a bool.
+# float, but no infinity or NaN, and only bool takes a bool.
 Read = tuple[tuple[type, ...], str, Callable[[Any], Any] | None]
+
+
+def _finite(value: int | float) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 SCALARS: dict[type, Read] = {
     int: ((int,), "an integer", None),
-    float: ((int, float), "a number", float),
+    float: ((int, float), "a number", _finite),
     str: ((str,), "a string", None),
     bool: ((bool,), "a boolean", None),
 }

@@ -1,6 +1,6 @@
 """Microtasks and replicated assignments (w-tasks).
 
-A microtask carries its ground truth and its route.  A human-routed
+A microtask carries its ground truth.  A human-routed
 microtask is posted as a w-task: a bundle of `want_votes` parallel
 assignment slots, filled as workers become available.  A w-task is its
 pending assignments and its answers, each keyed by agent: an issued
@@ -15,18 +15,11 @@ collects its votes on the microtask itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-
-
-class Route(Enum):
-    HUMAN = "human"
-    MACHINE = "machine"
 
 
 @dataclass
 class Microtask:
     id: str
-    route: Route
     truth: str
     machine_votes: list[str] = field(default_factory=list)
     machine_want: int = 0  # machine votes wanted: replication plus escalation extras
@@ -77,14 +70,12 @@ class WTask:
         self.want_votes = len(self.answers) + len(self.pending)
 
 
-def spawn_wtask(microtask: Microtask, w: int, completion_deadline: int) -> WTask:
-    """Post a human-routed microtask as a bundle of w parallel slots;
+def spawn_wtask(microtask_id: str, w: int, completion_deadline: int) -> WTask:
+    """Post a microtask to the crowd as a bundle of w parallel slots;
     assignments are issued later, as workers pick the task up."""
-    if microtask.route is not Route.HUMAN:
-        raise ValueError(f"cannot spawn a w-task for a machine-routed microtask: {microtask.id}")
     if w < 1:
         raise ValueError(f"replication must be >= 1: {w}")
-    return WTask(microtask_id=microtask.id, want_votes=w, completion_deadline=completion_deadline)
+    return WTask(microtask_id=microtask_id, want_votes=w, completion_deadline=completion_deadline)
 
 
 def issue_assignment(wtask: WTask, agent_id: str, at: int, reward_micros: int) -> AssignmentRecord:

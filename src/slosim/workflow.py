@@ -107,7 +107,7 @@ def validate(graph: WorkflowGraph) -> ValidationReport:
         seen.add(node.id)
 
     for src, dst in sorted(graph.edges):
-        for endpoint in (src, dst):
+        for endpoint in dict.fromkeys((src, dst)):  # a self-edge names its node once
             if endpoint not in seen:
                 report.violations.append(
                     Violation(

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from slosim.cli import main
-from slosim.scenario import apply_overrides
+from slosim.scenario import ScenarioError, apply_overrides, load_scenario
 from slosim.trace import read_trace, summarize
 
 
@@ -62,6 +62,33 @@ def test_integer_too_large_for_a_float_is_invalid(scenarios_dir, tmp_path, capsy
     assert main(["run", str(source), "--set", f"{dotted}={HUGE}", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: must be a number") and "Traceback" not in err
+
+
+NON_FINITE = [
+    ("minimal", "slo.deadline=.inf", "slo.deadline: must be a number, got inf"),
+    ("minimal", "slo.budget=.nan", "slo.budget: must be a number, got nan"),
+    ("minimal", "workers.0.arrival_rate=.inf", "workers[0].arrival_rate: must be a number, got inf"),
+    (
+        "minimal",
+        "controller.incentive_elasticity=.nan",
+        "controller.incentive_elasticity: must be a number, got nan",
+    ),
+    ("starvation", "script.0.at=.inf", "script[0].at: must be a number, got inf"),
+]
+
+
+@pytest.mark.parametrize("name, override, problem", NON_FINITE, ids=[o for _, o, _ in NON_FINITE])
+def test_an_infinite_or_nan_number_is_invalid(scenarios_dir, tmp_path, capsys, name, override, problem):
+    # only loaded, never run: an infinite arrival rate runs without end
+    source = scenarios_dir / f"{name}.yaml"
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(source, overrides=[override])
+    assert exc.value.problems == [problem]
+    raw = apply_overrides(yaml.safe_load(source.read_text(encoding="utf-8")), [override])
+    path = tmp_path / "copy.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert problem in capsys.readouterr().out
 
 
 def test_script_naming_an_undeclared_worker_class_is_invalid(scenarios_dir, tmp_path, capsys):

@@ -536,13 +536,37 @@ def _polls_with_actions(records) -> list[tuple[dict, list[dict]]]:
     return polls
 
 
+def _human_recounts(records) -> list[tuple[int, int]]:
+    """For each `poll` record, its node's human-routed microtasks not yet
+    decided (spawned, less rerouted, less finally decided) and how many of
+    those no assignment has been issued for, recounted from the records
+    written before it."""
+    with_crowd: dict[str, set[str]] = {}
+    picked: set[str] = set()
+    recounts = []
+    for record in records:
+        kind = record["kind"]
+        if kind == "wtask_spawned":
+            with_crowd.setdefault(record["node"], set()).add(record["microtask"])
+        elif kind == "reroute" or (kind == "vote_result" and record["final"]):
+            with_crowd.get(record["node"], set()).discard(record["microtask"])
+        elif kind == "assignment_issued":
+            picked.add(record["microtask"])
+        elif kind == "poll":
+            undecided = with_crowd.get(record["node"], set())
+            recounts.append((len(undecided), len(undecided - picked)))
+    return recounts
+
+
 @pytest.mark.parametrize("source", [*sorted(p.stem for p in SCENARIOS_DIR.glob("*.yaml")), "c05", "escalation"])
 def test_poll_consensus_rate_equals_a_recount_of_the_results(source, scenario_dict, monkeypatch):
     """Every poll replays from its observation alone: the `poll` record holds
     the observation's fields and the risks that `assess_risk` gives for it,
     planning again from it gives the poll's `action` records, and its
     consensus rate, which the engine keeps as a running count of agreed
-    results, is a recount of the node's results."""
+    results, is a recount of the node's results.  Its unresolved and
+    unpicked human counts, which the engine reads off the w-tasks it holds,
+    are recounts of the records written before it."""
     polling: list[_NodeRun] = []
     observed = []
     on_poll = ExecutionEngine._on_poll
@@ -573,8 +597,10 @@ def test_poll_consensus_rate_equals_a_recount_of_the_results(source, scenario_di
         records = run(scenario).records
         polls = _polls_with_actions(records)
         assert len(polls) == len(observed)
-        for (poll, actions), (obs, slo) in zip(polls, observed):
+        recounts = _human_recounts(records)
+        for (poll, actions), (obs, slo), recount in zip(polls, observed, recounts):
             assert [poll[name] for name in POLL_FIELDS] == [getattr(obs, name) for name in POLL_FIELDS]
+            assert (obs.unresolved_human, obs.unpicked_human) == recount
             risks = assess_risk(obs, slo)
             assert poll["risks"] == sorted(flag.value for flag in risks)
             replanned = plan_corrective_actions(obs, risks, scenario.controller)

@@ -282,6 +282,14 @@ def test_cycle_reported_through_scenario(scenario_dict):
     assert any("cycle" in p for p in exc.value.problems)
 
 
+def test_a_dangling_self_edge_is_reported_once(scenarios_dir):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(scenarios_dir / "pipeline.yaml", overrides=["workflow.edges=[[nope, nope]]"])
+    assert exc.value.problems == [
+        "workflow: dangling-edge: edge ('nope', 'nope') references unknown node 'nope'"
+    ]
+
+
 def test_a_bad_field_and_a_cycle_are_both_reported(scenario_dict):
     raw = scenario_dict()
     raw["workers"][0]["accuracy"] = "high"

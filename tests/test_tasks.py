@@ -8,25 +8,14 @@ accepted after its window is checked on whole traces in
 import pytest
 
 from slosim.runner import ExecutionEngine
-from slosim.tasks import (
-    Microtask,
-    Route,
-    expire_overdue,
-    issue_assignment,
-    record_return,
-    spawn_wtask,
-)
+from slosim.tasks import expire_overdue, issue_assignment, record_return, spawn_wtask
 from slosim.workflow import WorkflowNode
 
 from test_dispatch import _engine
 
 
-def microtask(route=Route.HUMAN):
-    return Microtask(id="n:00001", route=route, truth="a")
-
-
 def spawned(w=3, completion_deadline=100):
-    return spawn_wtask(microtask(), w, completion_deadline)
+    return spawn_wtask("n:00001", w, completion_deadline)
 
 
 def _step_until(engine: ExecutionEngine, handler) -> None:
@@ -47,7 +36,8 @@ def _kinds(engine: ExecutionEngine, *kinds: str) -> list[dict]:
 
 @pytest.mark.parametrize("w", [3, 1, 5])
 def test_spawn_expects_w_assignments(w):
-    wtask = spawn_wtask(microtask(), w, 100)
+    wtask = spawn_wtask("n:00001", w, 100)
+    assert wtask.microtask_id == "n:00001"
     assert not wtask.done
     assert wtask.pending == {} and wtask.answers == {}
     assert wtask.first_issued_at is None
@@ -55,14 +45,9 @@ def test_spawn_expects_w_assignments(w):
     assert wtask.completion_deadline == 100
 
 
-def test_spawn_rejects_machine_route():
-    with pytest.raises(ValueError):
-        spawn_wtask(microtask(route=Route.MACHINE), 3, 100)
-
-
 def test_spawn_rejects_zero_replication():
     with pytest.raises(ValueError):
-        spawn_wtask(microtask(), 0, 100)
+        spawn_wtask("n:00001", 0, 100)
 
 
 # -- returns --------------------------------------------------------------------
