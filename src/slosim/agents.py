@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .units import to_micros
+from .units import check_finite, to_micros
 from .voting import majority_accuracy_analytic
 
 
@@ -32,6 +32,7 @@ class ServiceTime:
     value: float | None = None
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.family == "lognormal":
             if self.median is None or self.sigma is None:
                 raise ValueError("lognormal service time needs median and sigma")
@@ -72,6 +73,7 @@ class WorkerClass:
     retention: float = 0.5
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1]: {self.accuracy}")
         if self.arrival_rate <= 0:
@@ -97,6 +99,7 @@ class MachineAgentProfile:
     capacity: int = 1
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1]: {self.accuracy}")
         if self.service_time_per_item <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .slo import SloSpec
-from .units import to_micros
+from .units import check_finite, to_micros
 
 
 class RiskFlag(Enum):
@@ -67,6 +67,7 @@ class ControllerConfig:
     corrections_enabled: bool = True
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.polling_intervals < 1:
             raise ValueError(f"polling_intervals must be >= 1: {self.polling_intervals}")
         if self.initial_hm_ratio < 0:

@@ -25,6 +25,7 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from .agents import MachineAgentProfile, ServiceTime, WorkerClass
 from .controller import ControllerConfig
 from .slo import SloSpec
+from .units import check_finite
 from .workflow import AgentTag, WorkflowGraph, WorkflowNode, validate
 
 SCHEMA_VERSION = 1
@@ -174,6 +175,7 @@ class ScriptEvent:
     rate: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.at < 0:
             raise ValueError(f"at must be >= 0: {self.at}")
         if self.rate < 0:

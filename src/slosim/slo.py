@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .units import to_micros, to_ticks
+from .units import check_finite, to_micros, to_ticks
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class SloSpec:
     deadline: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 < self.accuracy_target <= 1.0:
             raise ValueError(f"accuracy_target must be in (0, 1]: {self.accuracy_target}")
         if self.budget <= 0:

@@ -21,6 +21,34 @@ except ImportError:  # the optional `fast` extra; the json path below is the ref
 
 TRACE_SCHEMA = 1
 
+# The payload fields of each record kind the engine emits, in emit order.  A
+# record's keys are these, then "time" and "kind"; a ledger kind ends its
+# payload with the ledger's spent and committed micros after the operation.
+_LEDGER = ("spent", "committed")
+RECORD_FIELDS: dict[str, tuple[str, ...]] = {
+    "header": ("schema", "scenario", "digest", "seed", "time_unit", "config", "task_slo", "overrides"),
+    "node_start": ("node", "n", "n_human", "n_machine", "hm_ratio", "window_start", "deadline", "slo"),
+    "wtask_spawned": ("node", "microtask", "w", "reward", "completion_deadline", "expiry_deadline"),
+    "worker_arrival": ("cls", "agent"),
+    "assignment_issued": ("node", "microtask", "agent", "cls", "reward", *_LEDGER),
+    "assignment_returned": (
+        "node", "microtask", "agent", "cls", "answer", "correct", "service", "reward", *_LEDGER
+    ),
+    "assignment_timeout": ("node", "microtask", "agent", "cls", "reward", "rejected", *_LEDGER),
+    "vote_result": ("node", "microtask", "decision", "support", "status", "votes", "final"),
+    "machine_dispatched": ("node", "microtask", "profile", "cost", *_LEDGER),
+    "machine_done": ("node", "microtask", "profile", "answer", "correct", "cost", *_LEDGER),
+    "poll": (
+        "node", "index", "hm_ratio", "completion_rate", "risks", "evaluated", "total", "consensus_rate", *_LEDGER
+    ),
+    "action": ("node", "action", "trigger", "params"),
+    "reroute": ("node", "microtask"),
+    "escalated": ("node", "microtask", "want_votes"),
+    "script_applied": ("action", "params"),
+    "node_end": ("node", "evaluated", "consensus", "no_consensus", "incomplete", "finish", "spend"),
+    "run_end": ("finish", "events", *_LEDGER),
+}
+
 
 # The reference codec: one encoder and one decoder for every record.
 # json.dumps with non-default arguments builds a new encoder per call, and
@@ -301,49 +329,56 @@ class SummaryReducer:
         which checks them the same way."""
         try:
             kind = record["kind"]
-            if kind == "header":
-                self._header = record
-            elif kind == "node_start":
-                self._node_start[record["node"]] = record
-                self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
-            elif kind == "vote_result" and record["final"]:
-                bucket = self._results.get(record["node"])
-                if bucket is None:
-                    bucket = self._results[record["node"]] = {"consensus": 0, "no_consensus": 0}
-                if record["status"] == "consensus":
-                    bucket["consensus"] += 1
-                else:
-                    bucket["no_consensus"] += 1
-            elif kind == "action":
-                counts = self._node_actions.setdefault(record["node"], {})
-                counts[record["action"]] = counts.get(record["action"], 0) + 1
-            elif kind == "node_end":
-                self._node_end[record["node"]] = record
-            elif kind == "assignment_issued":
-                agg = _class_bucket(self._class_agg, record["cls"])
-                agg["assignments"] += 1
-            elif kind == "assignment_returned":
-                agg = _class_bucket(self._class_agg, record["cls"])
-                agg["returned"] += 1
-                agg["correct"] += 1 if record["correct"] else 0
-                agg["service_ticks"] += record["service"]
-                agg["spend"] += record["reward"]
-            elif kind == "assignment_timeout":
-                agg = _class_bucket(self._class_agg, record["cls"])
-                agg["timed_out"] += 1
-            elif kind == "machine_done":
-                agg = self._machine_agg.get(record["profile"])
-                if agg is None:
-                    agg = self._machine_agg[record["profile"]] = {"items": 0, "correct": 0, "spend": 0}
-                agg["items"] += 1
-                agg["correct"] += 1 if record["correct"] else 0
-                agg["spend"] += record["cost"]
-            elif kind == "run_end":
-                self._run_end = record
-            elif type(kind) is not str:
+            if type(kind) is not str:
                 raise TypeError(f"'kind' is {kind!r}, not a string")
+            fold = _FOLDS.get(kind)
+            if fold is not None:
+                fold(self, record)
         except (KeyError, TypeError) as exc:
             raise bad_record(record, exc) from exc
+
+    def _fold_header(self, record: dict[str, Any]) -> None:
+        self._header = record
+
+    def _fold_node_start(self, record: dict[str, Any]) -> None:
+        self._node_start[record["node"]] = record
+        self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+
+    def _fold_vote_result(self, record: dict[str, Any]) -> None:
+        if record["final"]:
+            bucket = self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+            bucket["consensus" if record["status"] == "consensus" else "no_consensus"] += 1
+
+    def _fold_action(self, record: dict[str, Any]) -> None:
+        counts = self._node_actions.setdefault(record["node"], {})
+        counts[record["action"]] = counts.get(record["action"], 0) + 1
+
+    def _fold_node_end(self, record: dict[str, Any]) -> None:
+        self._node_end[record["node"]] = record
+
+    def _fold_assignment_issued(self, record: dict[str, Any]) -> None:
+        _class_bucket(self._class_agg, record["cls"])["assignments"] += 1
+
+    def _fold_assignment_returned(self, record: dict[str, Any]) -> None:
+        agg = _class_bucket(self._class_agg, record["cls"])
+        agg["returned"] += 1
+        agg["correct"] += 1 if record["correct"] else 0
+        agg["service_ticks"] += record["service"]
+        agg["spend"] += record["reward"]
+
+    def _fold_assignment_timeout(self, record: dict[str, Any]) -> None:
+        _class_bucket(self._class_agg, record["cls"])["timed_out"] += 1
+
+    def _fold_machine_done(self, record: dict[str, Any]) -> None:
+        agg = self._machine_agg.get(record["profile"])
+        if agg is None:
+            agg = self._machine_agg[record["profile"]] = {"items": 0, "correct": 0, "spend": 0}
+        agg["items"] += 1
+        agg["correct"] += 1 if record["correct"] else 0
+        agg["spend"] += record["cost"]
+
+    def _fold_run_end(self, record: dict[str, Any]) -> None:
+        self._run_end = record
 
     def result(self) -> RunSummary:
         """The run summary of the records added so far."""
@@ -444,6 +479,11 @@ class SummaryReducer:
             machines=tuple(machines),
             events=events,
         )
+
+
+# Each kind's fold: the reducer's `_fold_<kind>` as a plain function, since a
+# bound method would make a reference cycle, or None for a kind it does not read.
+_FOLDS = {kind: vars(SummaryReducer).get(f"_fold_{kind}") for kind in RECORD_FIELDS}
 
 
 def summarize(records: Iterable[dict[str, Any]]) -> RunSummary:

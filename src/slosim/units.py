@@ -15,6 +15,15 @@ TICKS_PER_UNIT = 1_000_000
 MICROS_PER_UNIT = 1_000_000
 
 
+def check_finite(section: object) -> None:
+    """Refuse an infinity or NaN in a float field of the dataclass `section`:
+    no tick or micro count holds one, and a range check lets a NaN through.
+    Called from `__post_init__`, while the instance's attributes are its fields."""
+    for name, value in vars(section).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
+
+
 def to_ticks(units: float) -> int:
     """Convert a duration/instant in time units to integer ticks (half-up)."""
     if units < 0:

@@ -11,6 +11,7 @@ plurality votes and elasticity.  Each scenario is built in code through
 """
 
 import functools
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from slosim.controller import ControllerConfig
 from slosim.runner import run
 from slosim.scenario import Scenario
 from slosim.slo import SloSpec
-from slosim.trace import dump_record
+from slosim.trace import dump_record, summarize
+from slosim.units import TICKS_PER_UNIT
 from slosim.workflow import AgentTag, WorkflowGraph, WorkflowNode
 
 GENERATOR_SEED = 1
@@ -157,6 +159,45 @@ def test_each_run_replays_byte_for_byte():
     for index, (scenario, records) in enumerate(zip(_scenarios(), _runs())):
         replay = run(scenario).records
         assert [dump_record(r) for r in replay] == [dump_record(r) for r in records], index
+
+
+def test_the_summary_matches_a_recount_of_the_records():
+    for index, records in enumerate(_runs()):
+        summary = summarize(records)
+        of_kind: defaultdict[str, list[dict]] = defaultdict(list)
+        for record in records:
+            of_kind[record["kind"]].append(record)
+
+        finals = [r for r in of_kind["vote_result"] if r["final"]]
+        for node in summary.nodes:
+            where = (index, node.node_id)
+            statuses = Counter(r["status"] for r in finals if r["node"] == node.node_id)
+            assert node.consensus == statuses["consensus"], where
+            assert node.no_consensus == statuses.total() - statuses["consensus"], where
+            actions = Counter(r["action"] for r in of_kind["action"] if r["node"] == node.node_id)
+            assert node.actions == actions, where
+
+        issued, returned, timed_out = (of_kind[f"assignment_{end}"] for end in ("issued", "returned", "timeout"))
+        assert [c.name for c in summary.classes] == sorted({r["cls"] for r in issued + timed_out}), index
+        for stats in summary.classes:
+            where = (index, stats.name)
+            mine = [r for r in returned if r["cls"] == stats.name]
+            assert stats.assignments == sum(r["cls"] == stats.name for r in issued), where
+            assert stats.returned == len(mine), where
+            assert stats.timed_out == sum(r["cls"] == stats.name for r in timed_out), where
+            assert stats.correct == sum(r["correct"] for r in mine), where
+            assert stats.spend_micros == sum(r["reward"] for r in mine), where
+            service = sum(r["service"] for r in mine)
+            assert stats.mean_service == (service / len(mine) / TICKS_PER_UNIT if mine else 0.0), where
+
+        done = of_kind["machine_done"]
+        assert [m.name for m in summary.machines] == sorted({r["profile"] for r in done}), index
+        for stats in summary.machines:
+            where = (index, stats.name)
+            mine = [r for r in done if r["profile"] == stats.name]
+            assert stats.items == len(mine), where
+            assert stats.correct == sum(r["correct"] for r in mine), where
+            assert stats.spend_micros == sum(r["cost"] for r in mine), where
 
 
 @pytest.mark.xfail(

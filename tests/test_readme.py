@@ -1,6 +1,9 @@
-"""The README's "Library" and "Trace and summary" examples run as written."""
+"""The README's "Library" and "Trace and summary" examples run as written,
+and its table of trace record kinds is `trace.RECORD_FIELDS`."""
 
 import re
+
+from slosim.trace import RECORD_FIELDS
 
 from conftest import REPO_ROOT
 
@@ -37,3 +40,23 @@ def test_readme_trace_example_runs(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "trace.jsonl").is_file()
     assert namespace["to_file"].records is None
     assert set(namespace["tables"]) == {"classes", "arrivals", "control"}
+
+
+def record_table() -> list[tuple[str, list[str]]]:
+    """The (kind, fields) rows of the README's table of record kinds."""
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^Record kinds,.*?\n\n((?:\|[^\n]*\n)+)", text, re.S | re.M)
+    assert match is not None, "README has no table after 'Record kinds,'"
+    rows = []
+    for line in match.group(1).splitlines()[2:]:  # after the head and rule rows
+        kind, fields = line.split(" | ")[:2]
+        rows.append((kind.strip("| `"), [name.strip("`") for name in fields.split(", ")]))
+    return rows
+
+
+def test_readme_record_table_is_the_trace_record_fields():
+    rows = record_table()
+    assert [kind for kind, _ in rows] == list(RECORD_FIELDS)
+    assert {kind: sorted(fields) for kind, fields in rows} == {
+        kind: sorted(fields) for kind, fields in RECORD_FIELDS.items()
+    }

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 from dataclasses import dataclass, fields
 
@@ -145,6 +146,42 @@ def test_every_section_annotation_is_one_the_reader_knows(cls):
     assert list(spec) == [f.name for f in fields(cls)]
     for annotation, _, read in spec.values():
         assert read is not None or annotation in SECTION_CLASSES
+
+
+# A valid instance of each section class that has a float field.
+FLOAT_SECTIONS = (
+    SloSpec(accuracy_target=0.5, budget=1.0, deadline=10.0),
+    ControllerConfig(assignment_window=2.0),
+    WorkerClass(name="a", accuracy=0.5, arrival_rate=1.0, service_time=ServiceTime("fixed", value=1.0)),
+    ServiceTime("lognormal", median=1.0, sigma=0.5),
+    MachineAgentProfile(name="m", accuracy=0.5, service_time_per_item=1.0),
+    scenario_module.ScriptEvent(at=1.0, action="set_arrival_rate", worker_class="a", rate=1.0),
+)
+
+
+def _float_fields(cls: type) -> list[str]:
+    spec, _ = scenario_module._field_spec(cls)
+    return [name for name, (annotation, _, _) in spec.items() if annotation is float]
+
+
+def test_every_section_with_a_float_field_is_probed():
+    probed = {type(section) for section in FLOAT_SECTIONS}
+    assert probed == {cls for cls in SECTION_CLASSES if _float_fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        pytest.param(section, name, value, id=f"{type(section).__name__}.{name}={value}")
+        for section in FLOAT_SECTIONS
+        for name in _float_fields(type(section))
+        for value in (math.inf, -math.inf, math.nan)
+    ],
+)
+def test_a_section_built_in_code_refuses_a_non_finite_number(section, name, value):
+    # a scenario file never gets here: its reader refuses the number first
+    with pytest.raises(ValueError, match=f"^{name} must be finite: {value}$"):
+        dataclasses.replace(section, **{name: value})
 
 
 def test_reader_refuses_an_annotation_it_cannot_check():
