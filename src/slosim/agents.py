@@ -13,8 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .units import check_finite, to_micros
+from .units import check_finite, check_integers, to_micros
 from .voting import majority_accuracy_analytic
+
+FAMILY_PARAMETERS = {"lognormal": ("median", "sigma"), "exponential": ("mean",), "fixed": ("value",)}
 
 
 @dataclass(frozen=True)
@@ -22,7 +24,9 @@ class ServiceTime:
     """Distribution descriptor for one assignment's work duration.
 
     Families: lognormal (median, sigma), exponential (mean), fixed (value).
-    Samples are strictly positive.
+    Each of a family's parameters is required and > 0, and a family takes no
+    other family's parameter, which no draw would read.  Samples are
+    strictly positive.
     """
 
     family: str
@@ -33,19 +37,16 @@ class ServiceTime:
 
     def __post_init__(self) -> None:
         check_finite(self)
-        if self.family == "lognormal":
-            if self.median is None or self.sigma is None:
-                raise ValueError("lognormal service time needs median and sigma")
-            if self.median <= 0 or self.sigma <= 0:
-                raise ValueError("lognormal median and sigma must be > 0")
-        elif self.family == "exponential":
-            if self.mean is None or self.mean <= 0:
-                raise ValueError("exponential service time needs mean > 0")
-        elif self.family == "fixed":
-            if self.value is None or self.value <= 0:
-                raise ValueError("fixed service time needs value > 0")
-        else:
+        own = FAMILY_PARAMETERS.get(self.family)
+        if own is None:
             raise ValueError(f"unknown service time family: {self.family!r}")
+        for name in ("median", "sigma", "mean", "value"):
+            value = getattr(self, name)
+            if name not in own:
+                if value is not None:
+                    raise ValueError(f"{self.family} service time takes no {name}")
+            elif value is None or value <= 0:
+                raise ValueError(f"{self.family} service time needs {name} > 0")
 
     @cached_property
     def _log_median(self) -> float:
@@ -100,6 +101,7 @@ class MachineAgentProfile:
 
     def __post_init__(self) -> None:
         check_finite(self)
+        check_integers(self, "capacity")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1]: {self.accuracy}")
         if self.service_time_per_item <= 0:

@@ -195,7 +195,7 @@ class ExecutionEngine:
         self._answer_rngs = _Streams(sim, "answers/")
         self._retention_rngs = _Streams(sim, "retention/")
         self._machine_answer_rngs = _Streams(sim, "answers/machine/")
-        # keyed by profile name and in name order: dispatch takes the first free one
+        # keyed by profile name and in name order: dispatch takes the first free one it can pay for
         self.stations = {
             profile.name: _MachineStation(profile)
             for profile in sorted(scenario.machines, key=lambda m: m.name)
@@ -601,13 +601,10 @@ class ExecutionEngine:
                 self.machine_queue.popleft()
                 continue
             for station in self.stations.values():
-                if len(station.in_flight) < station.capacity:
+                if len(station.in_flight) < station.capacity and self.ledger.commit(station.cost_micros):
                     break
             else:
-                return  # every station is full
-            cost = station.cost_micros
-            if not self.ledger.commit(cost):
-                return  # head of line blocks until budget frees up
+                return  # no free station fits, and a station charges every item the same
             self.machine_queue.popleft()
             ticket = next(station.tickets)
             event = self.sim.schedule(
@@ -624,7 +621,7 @@ class ExecutionEngine:
                 node=node_id,
                 microtask=mt_id,
                 profile=station.profile.name,
-                cost=cost,
+                cost=station.cost_micros,
             )
 
     def _on_machine_done(self, node_id: str, mt_id: str, profile_name: str, ticket: int) -> None:

@@ -24,6 +24,16 @@ def check_finite(section: object) -> None:
             raise ValueError(f"{name} must be finite: {value}")
 
 
+def check_integers(section: object, *names: str) -> None:
+    """Refuse a value other than an int, a bool included, in each named field
+    of `section`: a count held as a float fails deep in the run, and
+    `3.0 % 2` passes an odd check.  Called from `__post_init__`."""
+    for name in names:
+        value = getattr(section, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer: {value!r}")
+
+
 def to_ticks(units: float) -> int:
     """Convert a duration/instant in time units to integer ticks (half-up)."""
     if units < 0:

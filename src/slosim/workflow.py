@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .slo import SloSpec
+from .units import check_integers
 
 
 class AgentTag(Enum):
@@ -37,6 +38,7 @@ class WorkflowNode:
     slo: SloSpec | None = None
 
     def __post_init__(self) -> None:
+        check_integers(self, "microtask_count")
         if not self.id:
             raise ValueError("node id must be non-empty")
         if self.label is None:

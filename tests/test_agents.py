@@ -240,6 +240,19 @@ def test_service_lognormal_median_roughly_right():
     assert samples[10_000] == pytest.approx(5.0, rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "family, parameters, unused",
+    [
+        ("fixed", {"value": 1.0, "median": -5.0, "sigma": -1.0}, "median"),
+        ("lognormal", {"median": 1.0, "sigma": 0.5, "mean": -3.0}, "mean"),
+        ("exponential", {"mean": 1.0, "value": 2.0}, "value"),
+    ],
+)
+def test_service_time_refuses_a_parameter_its_family_does_not_draw(family, parameters, unused):
+    with pytest.raises(ValueError, match=f"^{family} service time takes no {unused}$"):
+        ServiceTime(family=family, **parameters)
+
+
 def test_service_unknown_family():
     with pytest.raises(ValueError):
         ServiceTime(family="weibull", mean=1.0)

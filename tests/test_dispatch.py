@@ -1,6 +1,8 @@
 """Worker dispatch and the open w-task list: the invariants that let one
 sweep over the idle workers fill every slot they can take."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,3 +258,53 @@ def test_the_run_stops_when_the_last_node_finalizes_at_its_activation():
     assert [r["kind"] for r in records[a_start:]] == ["node_start", "node_end", "run_end"]
     assert records[-1]["time"] == to_ticks(50.0)
     assert engine.sim.peek_time() is not None  # the loop did not drain the queue
+
+
+# -- machine stations -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "budget, costs, evaluated",
+    [
+        # a_pricey is free but past the budget after its first job: b_cheap takes the rest
+        (0.05, {"a_pricey": 0.04, "b_cheap": 0.0}, 40),
+        # both fit throughout: b_cheap takes a job only while a_pricey is full
+        (5.0, {"a_pricey": 0.04, "b_cheap": 0.0}, 40),
+        # after a_pricey's first job neither fits: the head of the queue waits
+        (0.07, {"a_pricey": 0.04, "b_dear": 0.05}, 1),
+    ],
+    ids=["first-free-unpaid", "first-full", "none-fits"],
+)
+def test_a_machine_job_takes_the_first_free_station_it_can_pay_for(budget, costs, evaluated):
+    machines = [
+        {"name": name, "accuracy": 0.7, "service_time_per_item": 1.0, "cost_per_item": cost, "capacity": 1}
+        for name, cost in costs.items()
+    ]
+    overrides = [
+        "workflow.nodes.0.agent_tag=machine_only",
+        f"slo.budget={budget}",
+        f"machines={json.dumps(machines)}",
+    ]
+    records = run(load_scenario(SCENARIOS_DIR / "minimal.yaml", overrides)).records
+    budget_micros = to_micros(budget)
+    cost_micros = {name: to_micros(cost) for name, cost in costs.items()}
+    in_flight = dict.fromkeys(costs, 0)
+    headroom = budget_micros
+    dispatched = []
+    for record in records:
+        if record["kind"] == "machine_dispatched":
+            name = record["profile"]
+            free_and_paid = [n for n in sorted(costs) if in_flight[n] < 1 and cost_micros[n] <= headroom]
+            assert free_and_paid[:1] == [name], record
+            in_flight[name] += 1
+            dispatched.append(record["microtask"])
+        elif record["kind"] == "machine_done":
+            in_flight[record["profile"]] -= 1
+        if "spent" in record:
+            assert record["spent"] + record["committed"] <= budget_micros, record
+            headroom = budget_micros - record["spent"] - record["committed"]
+    # one node, one machine pass each: the queue holds the microtasks in id
+    # order, and no item is dispatched ahead of one queued before it
+    assert dispatched == [f"classify:{i:05d}" for i in range(len(dispatched))]
+    (end,) = [r for r in records if r["kind"] == "node_end"]
+    assert end["evaluated"] == evaluated

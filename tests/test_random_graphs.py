@@ -8,8 +8,15 @@ assignment window in about 30% of them.  That reaches the shared ledger of
 parallel nodes, node-id-order dispatch, two stations of different cost,
 plurality votes and elasticity.  Each scenario is built in code through
 `Scenario(...)`, so its cross-section checks run on every draw.
+
+The generator names the free station `m0` and the dearer one `m1`, so name
+order always tries the free one first.  So the corpus is the 100 draws and
+then a dearer-first block: each two-station draw with the two names
+swapped, where machine dispatch meets a free station it cannot pay for
+ahead of one it can.  Every record check runs on both.
 """
 
+import dataclasses
 import functools
 from collections import Counter, defaultdict
 
@@ -98,10 +105,26 @@ def _random_scenario(rng, index: int) -> Scenario:
     )
 
 
+def _dearer_first(scenario: Scenario) -> Scenario:
+    free, dearer = scenario.machines
+    return dataclasses.replace(
+        scenario,
+        name=f"{scenario.name}-dearer-first",
+        machines=(dataclasses.replace(dearer, name=free.name), dataclasses.replace(free, name=dearer.name)),
+    )
+
+
 @functools.cache
-def _scenarios() -> tuple[Scenario, ...]:
+def _drawn() -> tuple[Scenario, ...]:
     rng = np.random.default_rng(GENERATOR_SEED)
     return tuple(_random_scenario(rng, index) for index in range(COUNT))
+
+
+@functools.cache
+def _scenarios() -> tuple[Scenario, ...]:
+    """The draws, then the dearer-first block."""
+    drawn = _drawn()
+    return drawn + tuple(_dearer_first(s) for s in drawn if len(s.machines) == 2)
 
 
 @functools.cache
@@ -110,7 +133,7 @@ def _runs() -> tuple[tuple[dict, ...], ...]:
 
 
 def test_the_draws_cover_what_the_generator_promises():
-    scenarios = _scenarios()
+    scenarios = _drawn()
     tags = {node.agent_tag for s in scenarios for node in s.graph.nodes}
     assert tags == set(AgentTag)
     assert {len(s.workers) for s in scenarios} == {1, 2}
@@ -119,6 +142,25 @@ def test_the_draws_cover_what_the_generator_promises():
     assert {s.controller.vote_rule for s in scenarios} == {"majority", "plurality"}
     windows = sum(s.controller.assignment_window is not None for s in scenarios)
     assert 0.2 * COUNT <= windows <= 0.4 * COUNT
+
+
+def test_the_dearer_first_block_reaches_a_free_station_it_cannot_pay_for():
+    """Somewhere in the block, `m1` takes a job while the dearer `m0` has
+    room.  Work cancelled at its node's end leaves no record, so the count
+    of `m0`'s jobs in flight can only run high."""
+    passed_over = 0
+    for scenario, records in zip(_scenarios()[COUNT:], _runs()[COUNT:]):
+        first, second = sorted(scenario.machines, key=lambda m: m.name)
+        assert first.cost_per_item > second.cost_per_item, scenario.name
+        in_flight = Counter()
+        for record in records:
+            if record["kind"] == "machine_dispatched":
+                if record["profile"] == second.name and in_flight[first.name] < first.capacity:
+                    passed_over += 1
+                in_flight[record["profile"]] += 1
+            elif record["kind"] == "machine_done":
+                in_flight[record["profile"]] -= 1
+    assert passed_over > 0
 
 
 def test_the_ledger_never_exceeds_the_budget():

@@ -184,6 +184,45 @@ def test_a_section_built_in_code_refuses_a_non_finite_number(section, name, valu
         dataclasses.replace(section, **{name: value})
 
 
+# A valid instance of each section class that has an int field.
+INT_SECTIONS = (
+    ControllerConfig(),
+    MachineAgentProfile(name="m", accuracy=0.5, service_time_per_item=1.0),
+    WorkflowNode(id="n", microtask_count=1, answer_domain=("a", "b")),
+)
+
+
+def _int_fields(cls: type) -> list[str]:
+    spec, _ = scenario_module._field_spec(cls)
+    return [name for name, (annotation, _, _) in spec.items() if annotation is int]
+
+
+def test_every_section_with_an_int_field_is_probed():
+    probed = {type(section) for section in INT_SECTIONS}
+    assert probed == {cls for cls in SECTION_CLASSES if _int_fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        pytest.param(section, name, value, id=f"{type(section).__name__}.{name}={value}")
+        for section in INT_SECTIONS
+        for name in _int_fields(type(section))
+        for value in (3.0, 2.5, True)
+    ],
+)
+def test_a_section_built_in_code_refuses_a_non_integer(section, name, value):
+    # a scenario file never gets here: its reader refuses the value first
+    with pytest.raises(ValueError, match=f"^{name} must be an integer: {value!r}$"):
+        dataclasses.replace(section, **{name: value})
+
+
+def test_a_service_time_parameter_of_another_family_is_a_problem():
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(SCENARIOS_DIR / "minimal.yaml", ["workers.0.service_time.mean=-3"])
+    assert exc.value.problems == ["workers[0].service_time: lognormal service time takes no mean"]
+
+
 def test_reader_refuses_an_annotation_it_cannot_check():
     @dataclass(frozen=True)
     class Tagged:
