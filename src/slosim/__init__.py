@@ -45,7 +45,6 @@ from .trace import RunSummary, TraceWriter, iter_trace, read_trace, summarize
 from .voting import (
     ConsensusResult,
     ConsensusStatus,
-    VoteSet,
     majority_accuracy_analytic,
     majority_vote,
     node_consensus_rate,
@@ -90,7 +89,6 @@ __all__ = [
     "SloSpec",
     "TraceWriter",
     "ValidationReport",
-    "VoteSet",
     "WTask",
     "WorkerClass",
     "WorkflowGraph",

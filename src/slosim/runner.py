@@ -41,7 +41,7 @@ from .tasks import (
 )
 from .trace import TRACE_SCHEMA, NodeSummary, RunSummary, TraceWriter
 from .units import TICKS_PER_UNIT, to_ticks, to_units
-from .voting import ConsensusResult, ConsensusStatus, decide
+from .voting import ConsensusResult, ConsensusStatus, majority_vote
 from .workflow import AgentTag, WorkflowGraph, WorkflowNode, derive_node_slos, ready_nodes
 
 RejectPredicate = Callable[[str, str, str], bool]
@@ -518,8 +518,6 @@ class ExecutionEngine:
         self.pool.release(agent_id, stays)
 
     def _after_slot_freed(self, run: _NodeRun, wtask: WTask, mt_id: str) -> None:
-        if mt_id in run.final or run.finished:
-            return
         if not self.config.corrections_enabled:
             wtask.drop_unfilled_slots()
             run.close(mt_id)
@@ -562,8 +560,8 @@ class ExecutionEngine:
             return
         wtask = run.wtasks.get(mt_id)
         votes = wtask.votes() if wtask is not None else run.microtasks[mt_id].machine_votes
-        result = decide(mt_id, votes, run.node.answer_domain, self.config.vote_rule)
-        if result is None:
+        result = majority_vote(mt_id, votes, run.node.answer_domain, self.config.vote_rule)
+        if result.status is ConsensusStatus.EMPTY:
             return  # no votes: stays incomplete unless votes arrive
         # a consensus is final, so this replaces at most an escalated NO_CONSENSUS
         run.results[mt_id] = result
@@ -726,20 +724,20 @@ class ExecutionEngine:
             self._dispatch_workers()  # idle workers may now meet their price
         elif action.kind == "reduce_ratio":
             run.hm_ratio = action.params["hm_ratio"]
-            for mt_id in unpicked[: action.params["reroute"]]:
-                self._reroute_to_machine(run, mt_id)
+            rerouted = unpicked[: action.params["reroute"]]
+            for mt_id in rerouted:
+                del run.wtasks[mt_id]
+                self.emit("reroute", node=run.node.id, microtask=mt_id)
+                self._enqueue_machine(run, run.microtasks[mt_id])
+            # one filter: closing each id would shift the list once per id
+            gone = set(rerouted)
+            run.open_wtasks = [mt_id for mt_id in run.open_wtasks if mt_id not in gone]
             self._dispatch_machines()
         elif action.kind == "escalate":
             for mt_id in action.params["microtasks"]:
                 self._escalate(run, mt_id)
             self._dispatch_workers()
             self._dispatch_machines()
-
-    def _reroute_to_machine(self, run: _NodeRun, mt_id: str) -> None:
-        run.close(mt_id)
-        del run.wtasks[mt_id]
-        self.emit("reroute", node=run.node.id, microtask=mt_id)
-        self._enqueue_machine(run, run.microtasks[mt_id])
 
     def _escalate(self, run: _NodeRun, mt_id: str) -> None:
         wtask = run.wtasks.get(mt_id)

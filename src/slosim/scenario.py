@@ -25,7 +25,7 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from .agents import MachineAgentProfile, ServiceTime, WorkerClass
 from .controller import ControllerConfig
 from .slo import SloSpec
-from .units import check_finite
+from .units import check_finite, check_integers
 from .workflow import AgentTag, WorkflowGraph, WorkflowNode, validate
 
 SCHEMA_VERSION = 1
@@ -196,6 +196,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         """Check the sections against each other; keep the script in time order."""
+        check_integers(self, "seed")
         problems = _graph_problems(self.graph) or _check_references(self)
         if problems:
             raise ScenarioError(problems)

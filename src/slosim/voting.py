@@ -3,9 +3,8 @@ closed-form accuracy of a strict majority (a binomial tail).
 
 The default rule is a strict majority: a label wins only if it holds more
 than half of all returned votes.  A plurality rule (unique top count wins)
-is available behind a flag for scenarios that want it.  `decide` is the
-engine's entry: it settles no votes and one vote in closed form and counts
-only two or more.
+is available behind a flag for scenarios that want it.  `majority_vote`
+decides one microtask from the engine's list of its votes.
 """
 
 from __future__ import annotations
@@ -13,32 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ConsensusStatus(Enum):
     CONSENSUS = "consensus"
     NO_CONSENSUS = "no_consensus"
     EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class VoteSet:
-    """Returned answers for one microtask; votes must come from its domain."""
-
-    microtask_id: str
-    votes: tuple[str, ...]
-    domain: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        allowed = set(self.domain)
-        for vote in self.votes:
-            if vote not in allowed:
-                raise outside_domain(vote, self.domain)
-
-
-def outside_domain(vote: str, domain: tuple[str, ...]) -> ValueError:
-    return ValueError(f"vote {vote!r} outside answer domain {list(domain)}")
 
 
 @dataclass(frozen=True)
@@ -49,21 +29,31 @@ class ConsensusResult:
     status: ConsensusStatus
 
 
-def majority_vote(votes: VoteSet, rule: str = "majority") -> ConsensusResult:
-    """Aggregate one vote set; deterministic and order-independent.
+def majority_vote(
+    microtask_id: str, votes: Sequence[str], domain: Sequence[str], rule: str = "majority"
+) -> ConsensusResult:
+    """Decide one microtask from its votes; deterministic and order-independent.
 
     majority: decision requires strictly more than half of the votes.
     plurality: a unique top count wins even without a majority; tied top
-    counts yield no consensus.
+    counts yield no consensus.  Every vote must come from `domain`.  No
+    votes are EMPTY, and one vote is a consensus of support 1.0 under either
+    rule (it is more than half of one, and a unique top count), so only two
+    or more are counted.
     """
     if rule not in ("majority", "plurality"):
         raise ValueError(f"unknown vote rule: {rule!r}")
-    total = len(votes.votes)
+    for vote in votes:
+        if vote not in domain:
+            raise ValueError(f"vote {vote!r} outside answer domain {list(domain)}")
+    total = len(votes)
     if total == 0:
-        return ConsensusResult(votes.microtask_id, None, 0.0, ConsensusStatus.EMPTY)
+        return ConsensusResult(microtask_id, None, 0.0, ConsensusStatus.EMPTY)
+    if total == 1:
+        return ConsensusResult(microtask_id, votes[0], 1.0, ConsensusStatus.CONSENSUS)
 
     counts: dict[str, int] = {}
-    for vote in votes.votes:
+    for vote in votes:
         counts[vote] = counts.get(vote, 0) + 1
     top_label, top_count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     support = top_count / total
@@ -73,28 +63,8 @@ def majority_vote(votes: VoteSet, rule: str = "majority") -> ConsensusResult:
     else:
         won = sum(1 for c in counts.values() if c == top_count) == 1
     if won:
-        return ConsensusResult(votes.microtask_id, top_label, support, ConsensusStatus.CONSENSUS)
-    return ConsensusResult(votes.microtask_id, None, support, ConsensusStatus.NO_CONSENSUS)
-
-
-def decide(
-    microtask_id: str, votes: list[str], domain: tuple[str, ...], rule: str
-) -> ConsensusResult | None:
-    """`majority_vote(VoteSet(microtask_id, votes, domain), rule)`, or None
-    where that is EMPTY.
-
-    No votes decide nothing, and one vote is a consensus of support 1.0
-    under either rule (it is more than half of one, and a unique top count);
-    neither builds a vote set.  Two or more votes are counted.
-    """
-    if not votes:
-        return None
-    if len(votes) == 1:
-        vote = votes[0]
-        if vote not in domain:
-            raise outside_domain(vote, domain)
-        return ConsensusResult(microtask_id, vote, 1.0, ConsensusStatus.CONSENSUS)
-    return majority_vote(VoteSet(microtask_id, tuple(votes), domain), rule=rule)
+        return ConsensusResult(microtask_id, top_label, support, ConsensusStatus.CONSENSUS)
+    return ConsensusResult(microtask_id, None, support, ConsensusStatus.NO_CONSENSUS)
 
 
 def node_consensus_rate(results: Iterable[ConsensusResult]) -> float:

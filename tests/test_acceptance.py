@@ -16,7 +16,7 @@ from slosim.scenario import load_scenario, scenario_from_dict
 from slosim.sim import seeded_rng
 from slosim.trace import read_trace
 from slosim.units import to_ticks
-from slosim.voting import ConsensusStatus, VoteSet, majority_accuracy_analytic, majority_vote
+from slosim.voting import ConsensusStatus, majority_accuracy_analytic, majority_vote
 
 from conftest import SCENARIOS_DIR
 
@@ -34,8 +34,8 @@ def _simulated_majority_accuracy(p: float, w: int, labels: tuple, trials: int, s
     truth = labels[0]
     hits = 0
     for _ in range(trials):
-        votes = tuple(answer_microtask(p, labels, truth, rng) for _ in range(w))
-        result = majority_vote(VoteSet("mt", votes, labels))
+        votes = [answer_microtask(p, labels, truth, rng) for _ in range(w)]
+        result = majority_vote("mt", votes, labels)
         if result.status is ConsensusStatus.CONSENSUS and result.decision == truth:
             hits += 1
     return hits / trials
@@ -49,7 +49,7 @@ def test_c01_voting_oracle_equivalence():
     for size in range(0, 6):
         for combo in itertools.product(LABELS, repeat=size):
             cases += 1
-            got = majority_vote(VoteSet("mt", combo, LABELS))
+            got = majority_vote("mt", combo, LABELS)
             counts = Counter(combo)
             expected = None
             if combo:

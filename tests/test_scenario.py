@@ -217,6 +217,15 @@ def test_a_section_built_in_code_refuses_a_non_integer(section, name, value):
         dataclasses.replace(section, **{name: value})
 
 
+@pytest.mark.parametrize("seed", [True, 1.0])
+def test_a_scenario_built_in_code_refuses_a_non_integer_seed(seed):
+    # seed=True would run as seed 1 but write "seed": true into the header
+    # and give the scenario another digest
+    scenario = load_scenario(SCENARIOS_DIR / "minimal.yaml")
+    with pytest.raises(ValueError, match=f"^seed must be an integer: {seed!r}$"):
+        dataclasses.replace(scenario, seed=seed)
+
+
 def test_a_service_time_parameter_of_another_family_is_a_problem():
     with pytest.raises(ScenarioError) as exc:
         load_scenario(SCENARIOS_DIR / "minimal.yaml", ["workers.0.service_time.mean=-3"])

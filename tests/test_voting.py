@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from slosim.agents import invert_majority_accuracy
 from slosim.voting import (
+    ConsensusResult,
     ConsensusStatus,
-    VoteSet,
-    decide,
     majority_accuracy_analytic,
     majority_vote,
     node_consensus_rate,
@@ -19,75 +18,79 @@ from slosim.voting import (
 DOMAIN6 = ("l1", "l2", "l3", "l4", "l5", "l6")
 
 
-def votes(*labels, domain=DOMAIN6):
-    return VoteSet("mt", tuple(labels), domain)
+def vote_on(*labels, domain=DOMAIN6, rule="majority"):
+    return majority_vote("mt", list(labels), domain, rule)
 
 
 def test_strict_majority_two_of_three():
-    result = majority_vote(votes("a", "a", "b", domain=("a", "b")))
+    result = vote_on("a", "a", "b", domain=("a", "b"))
     assert result.status is ConsensusStatus.CONSENSUS
     assert result.decision == "a"
     assert result.support == pytest.approx(2 / 3)
 
 
 def test_strict_majority_three_of_five():
-    result = majority_vote(votes("a", "b", "a", "c", "a", domain=("a", "b", "c")))
+    result = vote_on("a", "b", "a", "c", "a", domain=("a", "b", "c"))
     assert result.decision == "a"
     assert result.support == pytest.approx(3 / 5)
 
 
 def test_tie_is_no_consensus():
-    result = majority_vote(votes("a", "b", domain=("a", "b")))
+    result = vote_on("a", "b", domain=("a", "b"))
     assert result.status is ConsensusStatus.NO_CONSENSUS
     assert result.decision is None
 
 
 def test_empty_votes():
-    result = majority_vote(votes(domain=("a", "b")))
+    result = vote_on(domain=("a", "b"))
     assert result.status is ConsensusStatus.EMPTY
     assert result.support == 0.0
 
 
 def test_vote_outside_domain_rejected():
-    with pytest.raises(ValueError):
-        votes("zz", domain=("a", "b"))
+    # the first vote outside the domain is named, however many votes there are
+    for labels in (("zz",), ("a", "zz", "yy"), ("a", "a", "a", "zz")):
+        with pytest.raises(ValueError, match=r"^vote 'zz' outside answer domain \['a', 'b'\]$"):
+            vote_on(*labels, domain=("a", "b"))
 
 
 def test_plurality_mode():
     # 2-2-1 split: no majority, but ties block plurality too
-    assert majority_vote(votes("a", "a", "b", "b", "c", domain=("a", "b", "c")), rule="plurality").decision is None
+    assert vote_on("a", "a", "b", "b", "c", domain=("a", "b", "c"), rule="plurality").decision is None
     # unique top short of a majority wins under plurality only
-    vs = votes("a", "a", "b", "c", domain=("a", "b", "c"))
-    assert majority_vote(vs).status is ConsensusStatus.NO_CONSENSUS
-    assert majority_vote(vs, rule="plurality").decision == "a"
+    split = ("a", "a", "b", "c")
+    assert vote_on(*split, domain=("a", "b", "c")).status is ConsensusStatus.NO_CONSENSUS
+    assert vote_on(*split, domain=("a", "b", "c"), rule="plurality").decision == "a"
 
 
 def test_unknown_rule():
-    with pytest.raises(ValueError):
-        majority_vote(votes("a", domain=("a", "b")), rule="borda")
+    # refused even with no votes, and ahead of a vote outside the domain
+    for labels in ((), ("a",), ("zz",), ("a", "b")):
+        with pytest.raises(ValueError, match="^unknown vote rule: 'borda'$"):
+            vote_on(*labels, domain=("a", "b"), rule="borda")
 
 
-def _brute_force(labels):
-    """Independent strict-majority oracle: count and require > half."""
+def _counted(labels, rule):
+    """Brute-force oracle for either rule: count every label, support as a
+    float share of the votes."""
     if not labels:
-        return None
+        return ConsensusResult("mt", None, 0.0, ConsensusStatus.EMPTY)
     counts = Counter(labels)
-    top, top_count = counts.most_common(1)[0]
-    if top_count * 2 > len(labels):
-        return top
-    return None
+    top_count = max(counts.values())
+    leaders = sorted(label for label, count in counts.items() if count == top_count)
+    support = top_count / len(labels)
+    won = top_count * 2 > len(labels) if rule == "majority" else len(leaders) == 1
+    if won:
+        return ConsensusResult("mt", leaders[0], support, ConsensusStatus.CONSENSUS)
+    return ConsensusResult("mt", None, support, ConsensusStatus.NO_CONSENSUS)
 
 
 def test_matches_brute_force_on_all_small_vote_sequences():
     # unit-sized sweep; the acceptance suite runs the full size<=5 enumeration
-    for size in range(0, 5):
-        for combo in itertools.product(DOMAIN6[:4], repeat=size):
-            got = majority_vote(votes(*combo, domain=DOMAIN6[:4]))
-            expected = _brute_force(combo)
-            if expected is None:
-                assert got.decision is None
-            else:
-                assert got.decision == expected
+    for rule in ("majority", "plurality"):
+        for size in range(0, 5):
+            for combo in itertools.product(DOMAIN6[:4], repeat=size):
+                assert vote_on(*combo, domain=DOMAIN6[:4], rule=rule) == _counted(combo, rule)
 
 
 @settings(max_examples=200)
@@ -95,18 +98,18 @@ def test_matches_brute_force_on_all_small_vote_sequences():
 def test_permutation_invariance(labels, rnd):
     shuffled = list(labels)
     rnd.shuffle(shuffled)
-    a = majority_vote(votes(*labels))
-    b = majority_vote(votes(*shuffled))
+    a = vote_on(*labels)
+    b = vote_on(*shuffled)
     assert (a.decision, a.support, a.status) == (b.decision, b.support, b.status)
 
 
 @settings(max_examples=200)
 @given(st.lists(st.sampled_from(DOMAIN6), min_size=1, max_size=9))
 def test_adding_vote_for_decision_keeps_decision(labels):
-    before = majority_vote(votes(*labels))
+    before = vote_on(*labels)
     if before.status is not ConsensusStatus.CONSENSUS:
         return
-    after = majority_vote(votes(*labels, before.decision))
+    after = vote_on(*labels, before.decision)
     assert after.decision == before.decision
 
 
@@ -123,24 +126,21 @@ def _short_vote_lists(draw):
 @given(_short_vote_lists(), st.sampled_from(["majority", "plurality"]))
 def test_closed_form_decisions_match_the_counted_vote(case, rule):
     domain, labels = case
-    try:
-        expected = majority_vote(VoteSet("mt", tuple(labels), domain), rule=rule)
-    except ValueError as exc:
+    outside = [label for label in labels if label not in domain]
+    if outside:
         with pytest.raises(ValueError) as excinfo:
-            decide("mt", labels, domain, rule)
-        assert str(excinfo.value) == str(exc)
+            majority_vote("mt", labels, domain, rule)
+        assert str(excinfo.value) == f"vote {outside[0]!r} outside answer domain {list(domain)}"
         return
-    got = decide("mt", labels, domain, rule)
-    if expected.status is ConsensusStatus.EMPTY:
-        assert got is None
-    else:
-        assert got == expected
-        assert repr(got) == repr(expected)  # a support of 1 would write as 1, not 1.0
+    got = majority_vote("mt", labels, domain, rule)
+    expected = _counted(labels, rule)
+    assert got == expected
+    assert repr(got) == repr(expected)  # a support of 1 would write as 1, not 1.0
 
 
 def test_consensus_rate_examples():
-    cons = majority_vote(votes("a", "a", domain=("a", "b")))
-    none = majority_vote(votes("a", "b", domain=("a", "b")))
+    cons = vote_on("a", "a", domain=("a", "b"))
+    none = vote_on("a", "b", domain=("a", "b"))
     assert node_consensus_rate([cons] * 918 + [none] * 82) == pytest.approx(0.918)
     assert node_consensus_rate([cons, cons]) == 1.0
     assert node_consensus_rate([none, none]) == 0.0
@@ -188,7 +188,7 @@ def test_enumeration_reference_matches_every_vote_sequence(w, num_labels):
         wrong_each = (1.0 - p) / (num_labels - 1)
         brute = 0.0
         for sequence in itertools.product(domain, repeat=w):
-            if majority_vote(votes(*sequence, domain=domain)).decision == truth:
+            if vote_on(*sequence, domain=domain).decision == truth:
                 right = sequence.count(truth)
                 brute += p**right * wrong_each ** (w - right)
         assert enumerated_majority_accuracy(p, w, num_labels) == pytest.approx(brute, abs=1e-12)
