@@ -556,8 +556,6 @@ class ExecutionEngine:
     # -- result evaluation -------------------------------------------------------
 
     def _evaluate_votes(self, run: _NodeRun, mt_id: str, final: bool = False) -> None:
-        if mt_id in run.final:
-            return
         wtask = run.wtasks.get(mt_id)
         votes = wtask.votes() if wtask is not None else run.microtasks[mt_id].machine_votes
         result = majority_vote(mt_id, votes, run.node.answer_domain, self.config.vote_rule)
@@ -595,7 +593,7 @@ class ExecutionEngine:
         while self.machine_queue:
             node_id, mt_id = self.machine_queue[0]
             run = self.runs[node_id]
-            if run.finished or mt_id in run.final or self.sim.now >= run.deadline:
+            if run.finished or self.sim.now >= run.deadline:
                 self.machine_queue.popleft()
                 continue
             for station in self.stations.values():

@@ -197,6 +197,8 @@ class Scenario:
     def __post_init__(self) -> None:
         """Check the sections against each other; keep the script in time order."""
         check_integers(self, "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative: {self.seed}")
         problems = _graph_problems(self.graph) or _check_references(self)
         if problems:
             raise ScenarioError(problems)

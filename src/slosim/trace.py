@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, IO, Iterable, Iterator
+from typing import Any, IO, Iterable, Iterator
 
 from .units import TICKS_PER_UNIT, to_money
 
@@ -102,7 +102,9 @@ class TraceWriter:
 
     def emit(self, time: int, kind: str, fields: dict[str, Any]) -> dict[str, Any]:
         """Record `fields` plus time and kind.  `fields` itself becomes the
-        record, so callers pass a dict of their own and do not reuse it."""
+        record, so callers pass a dict of their own and do not reuse it.  The
+        summary checks the record as it folds it, so one it cannot read
+        raises ValueError and is not kept."""
         fields["time"] = time
         fields["kind"] = kind
         self.reducer.add(fields)
@@ -312,21 +314,19 @@ class SummaryReducer:
     and a trace file read back give the same summary by the same code."""
 
     def __init__(self) -> None:
-        self._header: dict[str, Any] | None = None
-        self._node_start: dict[str, dict[str, Any]] = {}
-        self._node_end: dict[str, dict[str, Any]] = {}
+        self._header: tuple[str, int, tuple[float, int, int]] | None = None
+        self._starts: dict[str, tuple[int, tuple[float, int, int]]] = {}
+        self._ends: dict[str, tuple[int, int]] = {}
         self._node_actions: dict[str, dict[str, int]] = {}
         self._results: dict[str, dict[str, int]] = {}
-        self._class_agg: dict[str, dict[str, float]] = {}
+        self._class_agg: dict[str, dict[str, int]] = {}
         self._machine_agg: dict[str, dict[str, int]] = {}
-        self._run_end: dict[str, Any] | None = None
+        self._end: tuple[int, int, int, dict[str, int]] | None = None
 
     def add(self, record: dict[str, Any]) -> None:
         """Fold one record in.  A record that lacks a field its kind needs, or
         holds one of the wrong type, raises ValueError naming its kind, and so
-        does one whose kind is missing or not a string; the header,
-        node_start and run_end records are kept whole and read by `result`,
-        which checks them the same way."""
+        does one whose kind is missing or not a string."""
         try:
             kind = record["kind"]
             if type(kind) is not str:
@@ -334,77 +334,65 @@ class SummaryReducer:
             fold = _FOLDS.get(kind)
             if fold is not None:
                 fold(self, record)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise bad_record(record, exc) from exc
 
     def _fold_header(self, record: dict[str, Any]) -> None:
-        self._header = record
+        self._header = (record["scenario"], record["seed"], _slo(record["task_slo"]))
 
     def _fold_node_start(self, record: dict[str, Any]) -> None:
-        self._node_start[record["node"]] = record
-        self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+        self._starts[record["node"]] = (_int(record["n"]), _slo(record["slo"]))
+        _bucket(self._results, record["node"], _DECISIONS)
 
     def _fold_vote_result(self, record: dict[str, Any]) -> None:
         if record["final"]:
-            bucket = self._results.setdefault(record["node"], {"consensus": 0, "no_consensus": 0})
+            bucket = _bucket(self._results, record["node"], _DECISIONS)
             bucket["consensus" if record["status"] == "consensus" else "no_consensus"] += 1
 
     def _fold_action(self, record: dict[str, Any]) -> None:
-        counts = self._node_actions.setdefault(record["node"], {})
+        counts = _bucket(self._node_actions, record["node"], ())
         counts[record["action"]] = counts.get(record["action"], 0) + 1
 
     def _fold_node_end(self, record: dict[str, Any]) -> None:
-        self._node_end[record["node"]] = record
+        self._ends[record["node"]] = (_int(record["finish"]), _int(record["spend"]))
 
     def _fold_assignment_issued(self, record: dict[str, Any]) -> None:
-        _class_bucket(self._class_agg, record["cls"])["assignments"] += 1
+        _bucket(self._class_agg, record["cls"], _CLASS_FIELDS)["assignments"] += 1
 
     def _fold_assignment_returned(self, record: dict[str, Any]) -> None:
-        agg = _class_bucket(self._class_agg, record["cls"])
+        agg = _bucket(self._class_agg, record["cls"], _CLASS_FIELDS)
         agg["returned"] += 1
         agg["correct"] += 1 if record["correct"] else 0
         agg["service_ticks"] += record["service"]
         agg["spend"] += record["reward"]
 
     def _fold_assignment_timeout(self, record: dict[str, Any]) -> None:
-        _class_bucket(self._class_agg, record["cls"])["timed_out"] += 1
+        _bucket(self._class_agg, record["cls"], _CLASS_FIELDS)["timed_out"] += 1
 
     def _fold_machine_done(self, record: dict[str, Any]) -> None:
-        agg = self._machine_agg.get(record["profile"])
-        if agg is None:
-            agg = self._machine_agg[record["profile"]] = {"items": 0, "correct": 0, "spend": 0}
+        agg = _bucket(self._machine_agg, record["profile"], _MACHINE_FIELDS)
         agg["items"] += 1
         agg["correct"] += 1 if record["correct"] else 0
         agg["spend"] += record["cost"]
 
     def _fold_run_end(self, record: dict[str, Any]) -> None:
-        self._run_end = record
+        self._end = (
+            _int(record["time"]), _int(record["spent"]), _int(record["finish"]), dict(record["events"])
+        )
 
     def result(self) -> RunSummary:
         """The run summary of the records added so far."""
         if self._header is None:
             raise ValueError("trace has no header record")
-        if self._run_end is None:
+        if self._end is None:
             raise ValueError("trace has no run_end record")
+        scenario, seed, task_slo = self._header
+        end_time, spent, finish, events = self._end
 
-        scenario, seed, task_slo = _read(
-            self._header, lambda r: (r["scenario"], r["seed"], _slo(r["task_slo"]))
-        )
-        end_time, spent, finish, events = _read(
-            self._run_end,
-            lambda r: (_int(r["time"]), _int(r["spent"]), _int(r["finish"]), dict(r["events"])),
-        )
-        starts = {
-            node: _read(record, lambda r: (_int(r["n"]), _slo(r["slo"])))
-            for node, record in self._node_start.items()
-        }
         nodes = []
-        for node in sorted(starts):
-            n, slo = starts[node]
-            end = self._node_end.get(node)
-            node_finish, spend = (end_time, 0) if end is None else _read(
-                end, lambda r: (_int(r["finish"]), _int(r["spend"]))
-            )
+        for node in sorted(self._starts):
+            n, slo = self._starts[node]
+            node_finish, spend = self._ends.get(node, (end_time, 0))
             agreed = self._results[node]["consensus"]
             disagreed = self._results[node]["no_consensus"]
             evaluated = agreed + disagreed
@@ -429,17 +417,17 @@ class SummaryReducer:
         classes = []
         for name in sorted(self._class_agg):
             agg = self._class_agg[name]
-            returned = int(agg["returned"])
+            returned = agg["returned"]
             classes.append(
                 ClassStats(
                     name=name,
-                    assignments=int(agg["assignments"]),
+                    assignments=agg["assignments"],
                     returned=returned,
-                    timed_out=int(agg["timed_out"]),
-                    correct=int(agg["correct"]),
+                    timed_out=agg["timed_out"],
+                    correct=agg["correct"],
                     accuracy=(agg["correct"] / returned) if returned else 0.0,
                     mean_service=(agg["service_ticks"] / returned / TICKS_PER_UNIT) if returned else 0.0,
-                    spend_micros=int(agg["spend"]),
+                    spend_micros=agg["spend"],
                 )
             )
 
@@ -456,7 +444,7 @@ class SummaryReducer:
                 )
             )
 
-        total = sum(n for n, _ in starts.values())
+        total = sum(n for n, _ in self._starts.values())
         evaluated = sum(ns.evaluated for ns in nodes)
         agreed = sum(ns.consensus for ns in nodes)
         incomplete = total - evaluated
@@ -506,15 +494,6 @@ def bad_record(record: dict[str, Any], exc: Exception) -> ValueError:
     return ValueError(f"bad trace record: {name} {problem}")
 
 
-def _read(record: dict[str, Any], fields: Callable[[dict[str, Any]], tuple]) -> tuple:
-    """`fields(record)`, the fields `result` needs of a record it kept, with a
-    missing or mistyped one raised as bad_record."""
-    try:
-        return fields(record)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise bad_record(record, exc) from exc
-
-
 def _slo(fields: dict[str, Any]) -> tuple[float, int, int]:
     """An SLO as recorded in a trace: (accuracy, budget_micros, deadline_ticks)."""
     accuracy = fields["accuracy"]
@@ -546,10 +525,15 @@ def _verdicts(
     }
 
 
-def _class_bucket(agg: dict[str, dict[str, float]], name: str) -> dict[str, float]:
-    bucket = agg.get(name)
+# The counters of a node's final decisions, a worker class and a machine profile.
+_DECISIONS = ("consensus", "no_consensus")
+_CLASS_FIELDS = ("assignments", "returned", "timed_out", "correct", "service_ticks", "spend")
+_MACHINE_FIELDS = ("items", "correct", "spend")
+
+
+def _bucket(table: dict[str, dict[str, int]], name: str, fields: tuple[str, ...]) -> dict[str, int]:
+    """The counters of `name` in `table`, made at 0 for each of `fields` on first use."""
+    bucket = table.get(name)
     if bucket is None:
-        bucket = agg[name] = {
-            "assignments": 0, "returned": 0, "timed_out": 0, "correct": 0, "service_ticks": 0, "spend": 0
-        }
+        bucket = table[name] = dict.fromkeys(fields, 0)
     return bucket

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -684,6 +685,33 @@ def test_timeout_with_corrections_off_is_never_reassigned(scenarios_dir):
     decided = [r for r in mine if r["kind"] == "vote_result"]
     assert [(r["final"], r["votes"], r["time"]) for r in decided] == [(True, 1, timed_out_at)]
     assert records[-1]["kind"] == "run_end" and records[-1]["committed"] == 0
+
+
+@pytest.mark.parametrize("corrections", ["true", "false"])
+@pytest.mark.parametrize("name", ["minimal", "starvation"])
+def test_a_final_microtask_is_never_evaluated_again(scenarios_dir, monkeypatch, name, corrections):
+    """A final decision drops its w-task, and a machine microtask is decided
+    only once every queued and in-flight pass has returned, so no vote set is
+    counted again after its decision is final: here on runs that reject
+    every third answer inside a five-unit assignment window."""
+    evaluate = ExecutionEngine._evaluate_votes
+    entered = Counter()
+
+    def checked(engine, node_run, mt_id, final=False):
+        assert mt_id not in node_run.final
+        entered["human" if mt_id in node_run.wtasks else "machine"] += 1
+        evaluate(engine, node_run, mt_id, final)
+
+    answers = itertools.count(1)
+
+    def reject(mt_id, agent_id, answer):
+        return next(answers) % 3 == 0
+
+    monkeypatch.setattr(ExecutionEngine, "_evaluate_votes", checked)
+    overrides = [f"controller.corrections_enabled={corrections}", "controller.assignment_window=5.0"]
+    records = run(load_scenario(scenarios_dir / f"{name}.yaml", overrides=overrides), reject=reject).records
+    assert any(r["kind"] == "assignment_timeout" and r["rejected"] for r in records)
+    assert entered["human"] and entered["machine"]
 
 
 # -- randomized budget safety (small; the acceptance suite scales this up) -------------

@@ -226,6 +226,13 @@ def test_a_scenario_built_in_code_refuses_a_non_integer_seed(seed):
         dataclasses.replace(scenario, seed=seed)
 
 
+def test_a_scenario_built_in_code_refuses_a_negative_seed():
+    # write_scenario would write a seed that load_scenario refuses
+    scenario = load_scenario(SCENARIOS_DIR / "minimal.yaml")
+    with pytest.raises(ValueError, match="^seed must be non-negative: -1$"):
+        dataclasses.replace(scenario, seed=-1)
+
+
 def test_a_service_time_parameter_of_another_family_is_a_problem():
     with pytest.raises(ScenarioError) as exc:
         load_scenario(SCENARIOS_DIR / "minimal.yaml", ["workers.0.service_time.mean=-3"])

@@ -247,12 +247,12 @@ def test_edge_values_encode_as_the_reference_does(record):
 def test_writer_round_trip(tmp_path):
     path = tmp_path / "out" / "trace.jsonl"
     with TraceWriter(path) as writer:
-        header = writer.emit(0, "header", {"scenario": "s", "nested": {"b": [1, 2.5], "a": None}})
+        first = writer.emit(0, "note", {"scenario": "s", "nested": {"b": [1, 2.5], "a": None}})
         poll = writer.emit(7, "poll", {"risks": [], "rate": 0.1, "ok": True, "text": "café ☃"})
     assert writer.records is None  # a writer with a file keeps no records in memory
     text = path.read_text(encoding="utf-8")
-    assert text == dump_record(header) + "\n" + dump_record(poll) + "\n"
-    assert read_trace(path) == [header, poll]
+    assert text == dump_record(first) + "\n" + dump_record(poll) + "\n"
+    assert read_trace(path) == [first, poll]
     assert poll == {
         "time": 7,
         "kind": "poll",
@@ -261,6 +261,16 @@ def test_writer_round_trip(tmp_path):
         "ok": True,
         "text": "café ☃",
     }
+
+
+def test_writer_refuses_a_record_the_summary_cannot_read(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    with TraceWriter(path) as writer:
+        first = writer.emit(0, "note", {"text": "kept"})
+        with pytest.raises(ValueError) as excinfo:
+            writer.emit(0, "header", {"scenario": "s", "task_slo": {}})
+    assert str(excinfo.value) == "bad trace record: 'header' record has no field 'seed'"
+    assert path.read_text(encoding="utf-8") == dump_record(first) + "\n"
 
 
 def test_writer_round_trip_on_each_codec(tmp_path, codec):
@@ -353,3 +363,21 @@ def test_summarize_names_a_record_whose_kind_is_missing_or_not_a_string(record, 
     with pytest.raises(ValueError) as excinfo:
         summarize([record])
     assert str(excinfo.value) == f"bad trace record: record {problem}"
+
+
+def test_summarize_stops_at_a_bad_node_start_before_reading_on():
+    slo = {"accuracy": 0.5, "budget_micros": 1, "deadline_ticks": 1}
+    read_after = []
+
+    def records():
+        yield {"kind": "header", "time": 0, "scenario": "s", "seed": 1, "task_slo": slo}
+        yield {"kind": "node_start", "time": 0, "node": "a", "n": "x", "slo": slo}
+        read_after.append(True)
+        yield {"kind": "run_end", "time": 1, "finish": 1, "events": {}, "spent": 0, "committed": 0}
+
+    with pytest.raises(ValueError) as excinfo:
+        summarize(records())
+    assert str(excinfo.value) == (
+        "bad trace record: 'node_start' record has a field of the wrong type: expected an integer, got 'x'"
+    )
+    assert read_after == []
