@@ -83,10 +83,9 @@ class _NodeRun:
         self.wtasks: dict[str, WTask] = {}
         self.open_wtasks: list[str] = []  # sorted, so dispatch scans in id order
         self.results: dict[str, ConsensusResult] = {}
-        self.agreed = 0  # results that reached consensus
-        self.final: set[str] = set()
+        self.agreed = 0  # consensus results: the decided count until the node's end
         self.no_consensus_pending: set[str] = set()
-        self.evaluated_at_last_poll = 0
+        self.agreed_at_last_poll = 0
         self.last_poll_tick = window_start
         self.timed_out_since_poll = 0
         self.poll_events: list[SimEvent] = []
@@ -96,10 +95,6 @@ class _NodeRun:
     @property
     def finished(self) -> bool:
         return self.finish_tick is not None
-
-    @property
-    def evaluated_count(self) -> int:
-        return len(self.final)
 
     @property
     def consensus_rate(self) -> float:
@@ -188,7 +183,6 @@ class ExecutionEngine:
         self.min_reward_by_class = {w.name: w.min_reward_micros for w in scenario.workers}
         self.runs: dict[str, _NodeRun] = {}
         self._active: list[_NodeRun] = []  # the unfinished runs, in node-id order
-        self._unfinished = len(graph.nodes)  # nodes not yet finalized, active or not
         self._arrival_pending: dict[str, bool] = {}
         self._arrival_rngs = _Streams(sim, "arrivals/")
         self._service_rngs = _Streams(sim, "service/")
@@ -246,7 +240,7 @@ class ExecutionEngine:
             self._activate_ready()
 
             sim = self.sim
-            while self._unfinished:
+            while self._active:  # a node activates once its predecessors finish
                 try:
                     event = sim.step()
                 except (EmptyQueue, HorizonExceeded):
@@ -470,9 +464,19 @@ class ExecutionEngine:
         # completion_deadline + 1, or the node's last poll at its deadline,
         # was queued before it and timed the assignment out.
         if self.reject is not None and self.reject(mt_id, agent_id, answer):
-            # discard, release the reservation, reopen the slot
+            # discard and release the reservation; only corrections reissue the slot
             self._time_out(run, wtask, wtask.pending[agent_id], rejected=True)
-            self._after_slot_freed(run, wtask, mt_id)
+            if self.config.corrections_enabled:
+                run.reopen(mt_id)
+                self.emit(
+                    "action",
+                    node=node_id,
+                    action="reassign",
+                    trigger="timeout",
+                    params={"microtask": mt_id},
+                )
+            else:
+                self._stop_reissuing(run, wtask, mt_id)
         else:
             record = record_return(wtask, agent_id, answer)
             self.ledger.settle_return(record.reward_micros)
@@ -517,24 +521,13 @@ class ExecutionEngine:
         stays = bool(retention_rng.random() < worker_class.retention)
         self.pool.release(agent_id, stays)
 
-    def _after_slot_freed(self, run: _NodeRun, wtask: WTask, mt_id: str) -> None:
-        if not self.config.corrections_enabled:
-            wtask.drop_unfilled_slots()
-            run.close(mt_id)
-            if wtask.done and wtask.votes():
-                self._evaluate_votes(run, mt_id)
-            return
-        if self.sim.now <= wtask.completion_deadline and wtask.open_slots > 0:
-            run.reopen(mt_id)
-            self.emit(
-                "action",
-                node=run.node.id,
-                action="reassign",
-                trigger="timeout",
-                params={"microtask": mt_id},
-            )
-        else:
-            run.close(mt_id)  # window passed; finalization reads what it has
+    def _stop_reissuing(self, run: _NodeRun, wtask: WTask, mt_id: str) -> None:
+        """With corrections off a freed slot is never reissued: decide the
+        w-task on its votes once nothing is pending."""
+        wtask.drop_unfilled_slots()
+        run.close(mt_id)
+        if wtask.done and wtask.votes():
+            self._evaluate_votes(run, mt_id)
 
     def _on_timeout_sweep(self, node_id: str, mt_id: str) -> None:
         run = self.runs[node_id]
@@ -550,7 +543,8 @@ class ExecutionEngine:
         for record in overdue:
             self._time_out(run, wtask, record)
         if overdue:
-            self._after_slot_freed(run, wtask, mt_id)
+            if not self.config.corrections_enabled:
+                self._stop_reissuing(run, wtask, mt_id)
             self._dispatch_workers()
 
     # -- result evaluation -------------------------------------------------------
@@ -568,9 +562,8 @@ class ExecutionEngine:
             run.agreed += 1
         is_final = final or agreed
         if is_final:
-            run.final.add(mt_id)
-            run.no_consensus_pending.discard(mt_id)
-            run.close(mt_id)
+            # while the node runs a decided w-task is done, so not open, and escalation
+            # took its id off the pending set; after the node's end neither is read
             run.wtasks.pop(mt_id, None)
         else:
             run.no_consensus_pending.add(mt_id)
@@ -584,7 +577,7 @@ class ExecutionEngine:
             votes=len(votes),
             final=is_final,
         )
-        if not run.finished and run.evaluated_count == run.node.microtask_count:
+        if not run.finished and run.agreed == run.node.microtask_count:
             self._finalize_node(run)
 
     # -- machines -----------------------------------------------------------------
@@ -657,7 +650,7 @@ class ExecutionEngine:
 
         interval_ticks = now - run.last_poll_tick
         if interval_ticks > 0:
-            completed = run.evaluated_count - run.evaluated_at_last_poll
+            completed = run.agreed - run.agreed_at_last_poll
             run.completion_rate = update_rho(
                 run.completion_rate, completed, interval_ticks / TICKS_PER_UNIT, self.config.ewma_alpha
             )
@@ -668,7 +661,7 @@ class ExecutionEngine:
         obs = PollObservation(
             now=min(to_units(now), run.slo.deadline),
             total=run.node.microtask_count,
-            evaluated=run.evaluated_count,
+            evaluated=run.agreed,
             consensus_rate=run.consensus_rate,
             completion_rate=run.completion_rate,
             hm_ratio=run.hm_ratio,
@@ -698,10 +691,11 @@ class ExecutionEngine:
             self._apply_action(run, action, unpicked)
 
         run.timed_out_since_poll = 0
-        run.evaluated_at_last_poll = run.evaluated_count
+        run.agreed_at_last_poll = run.agreed
         run.last_poll_tick = now
 
-        if not run.finished and now >= run.deadline:
+        # no action evaluates a vote, so none has finished the node
+        if now >= run.deadline:
             self._finalize_node(run)
 
     def _apply_action(self, run: _NodeRun, action: Action, unpicked: list[str]) -> None:
@@ -768,7 +762,6 @@ class ExecutionEngine:
         now = self.sim.now
         run.finish_tick = now
         self._active.remove(run)
-        self._unfinished -= 1
 
         # kill outstanding human assignments; workers free themselves on return
         for mt_id in sorted(run.wtasks):
@@ -788,22 +781,23 @@ class ExecutionEngine:
 
         # evaluate whatever has votes; the rest is reported incomplete
         for mt_id in sorted(run.microtasks):
-            if mt_id in run.final:
-                continue
-            self._evaluate_votes(run, mt_id, final=True)
+            result = run.results.get(mt_id)
+            if result is None or result.status is not ConsensusStatus.CONSENSUS:
+                self._evaluate_votes(run, mt_id, final=True)
 
         for event in run.poll_events:
             if event.fire_at > now:
                 self.sim.cancel(event)
 
         # every result is final now, so the running count is the node's consensus count
+        evaluated = len(run.results)
         self.emit(
             "node_end",
             node=run.node.id,
-            evaluated=run.evaluated_count,
+            evaluated=evaluated,
             consensus=run.agreed,
-            no_consensus=run.evaluated_count - run.agreed,
-            incomplete=run.node.microtask_count - run.evaluated_count,
+            no_consensus=evaluated - run.agreed,
+            incomplete=run.node.microtask_count - evaluated,
             finish=now,
             spend=run.spend_micros,
         )
@@ -862,5 +856,5 @@ def run_node(
     summary = engine.run()
     node_summary = next(ns for ns in summary.nodes if ns.node_id == node.id)
     node_run = engine.runs[node.id]
-    results = {mt: node_run.results[mt] for mt in sorted(node_run.final)}
+    results = dict(sorted(node_run.results.items()))
     return NodeOutcome(summary=node_summary, results=results, records=engine.writer.records)

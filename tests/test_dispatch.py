@@ -126,8 +126,7 @@ def _takeable(engine: ExecutionEngine) -> list[tuple[str, str]]:
                 continue
             for mt_id, wtask in node_run.wtasks.items():
                 if (
-                    mt_id not in node_run.final
-                    and wtask.open_slots > 0
+                    wtask.open_slots > 0
                     and now <= wtask.completion_deadline
                     and not wtask.has_live_assignment_for(agent_id)
                 ):

@@ -242,6 +242,39 @@ def test_the_summary_matches_a_recount_of_the_records():
             assert stats.spend_micros == sum(r["cost"] for r in mine), where
 
 
+def _after_header(records) -> list[str]:
+    return [dump_record(r) for r in records[1:]]
+
+
+def test_a_worker_class_that_never_arrives_changes_no_record():
+    """Metamorphic: appending a worker class at arrival rate 1e-12 leaves
+    every record after the header unchanged, on the 100 draws.  Its first
+    arrival lies past the horizon, so it schedules nothing, and it draws
+    only from streams named after it."""
+    for index, (scenario, records) in enumerate(zip(_drawn(), _runs())):
+        idle = dataclasses.replace(
+            scenario.workers[0], name=f"crowd{len(scenario.workers)}", arrival_rate=1e-12
+        )
+        changed = dataclasses.replace(scenario, workers=scenario.workers + (idle,))
+        assert _after_header(run(changed).records) == _after_header(records), index
+
+
+def test_the_order_of_the_worker_classes_changes_no_record():
+    """Metamorphic: reversing the worker classes leaves every record after
+    the header unchanged, on the two-class draws.  Each class draws from
+    streams named after it and idle workers queue in arrival order, so only
+    two classes arriving at one tick could tell the orders apart; none of
+    these draws has such a tie."""
+    two_class = 0
+    for index, (scenario, records) in enumerate(zip(_drawn(), _runs())):
+        if len(scenario.workers) < 2:
+            continue
+        two_class += 1
+        changed = dataclasses.replace(scenario, workers=scenario.workers[::-1])
+        assert _after_header(run(changed).records) == _after_header(records), index
+    assert two_class > 0
+
+
 @pytest.mark.xfail(
     strict=True, reason="ROADMAP item 6: reduce_ratio reroutes a w-task picked earlier in the same poll"
 )

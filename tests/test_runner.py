@@ -15,7 +15,7 @@ from slosim.sim import SimEvent
 from slosim.slo import SloSpec
 from slosim.trace import TraceWriter, read_trace, summarize
 from slosim.units import to_ticks
-from slosim.voting import node_consensus_rate
+from slosim.voting import ConsensusStatus, node_consensus_rate
 from slosim.workflow import AgentTag, WorkflowNode
 
 from conftest import SCENARIOS_DIR
@@ -690,17 +690,29 @@ def test_timeout_with_corrections_off_is_never_reassigned(scenarios_dir):
 @pytest.mark.parametrize("corrections", ["true", "false"])
 @pytest.mark.parametrize("name", ["minimal", "starvation"])
 def test_a_final_microtask_is_never_evaluated_again(scenarios_dir, monkeypatch, name, corrections):
-    """A final decision drops its w-task, and a machine microtask is decided
-    only once every queued and in-flight pass has returned, so no vote set is
-    counted again after its decision is final: here on runs that reject
-    every third answer inside a five-unit assignment window."""
+    """A consensus is final when it is reached and a no-consensus result only
+    at the node's end: a final decision drops its w-task, and a machine
+    microtask is decided only once every queued and in-flight pass has
+    returned, so no vote set is counted again after its decision is final.
+    While the node runs an evaluated id is never awaiting escalation, and a
+    decision leaves nothing of it in the open list.  A rejected answer frees
+    its slot inside the window, so with corrections on each one reopens its
+    slot at once.  Here on runs that reject every third answer inside a
+    five-unit assignment window."""
     evaluate = ExecutionEngine._evaluate_votes
     entered = Counter()
 
     def checked(engine, node_run, mt_id, final=False):
-        assert mt_id not in node_run.final
-        entered["human" if mt_id in node_run.wtasks else "machine"] += 1
+        result = node_run.results.get(mt_id)
+        assert result is None or result.status is not ConsensusStatus.CONSENSUS
+        assert final == node_run.finished
+        had_wtask = mt_id in node_run.wtasks
+        if not final:
+            assert mt_id not in node_run.no_consensus_pending
+        entered["human" if had_wtask else "machine"] += 1
         evaluate(engine, node_run, mt_id, final)
+        if not final and had_wtask and mt_id not in node_run.wtasks:
+            assert mt_id not in node_run.open_wtasks
 
     answers = itertools.count(1)
 
@@ -710,8 +722,22 @@ def test_a_final_microtask_is_never_evaluated_again(scenarios_dir, monkeypatch, 
     monkeypatch.setattr(ExecutionEngine, "_evaluate_votes", checked)
     overrides = [f"controller.corrections_enabled={corrections}", "controller.assignment_window=5.0"]
     records = run(load_scenario(scenarios_dir / f"{name}.yaml", overrides=overrides), reject=reject).records
-    assert any(r["kind"] == "assignment_timeout" and r["rejected"] for r in records)
     assert entered["human"] and entered["machine"]
+
+    rejected = [i for i, r in enumerate(records) if r["kind"] == "assignment_timeout" and r["rejected"]]
+    reopened = [
+        i
+        for i, r in enumerate(records)
+        if r["kind"] == "action" and r["action"] == "reassign" and "microtask" in r["params"]
+    ]
+    assert rejected
+    if corrections == "true":
+        assert reopened == [i + 1 for i in rejected]
+        for i in rejected:
+            assert records[i + 1]["params"] == {"microtask": records[i]["microtask"]}
+            assert records[i + 1]["node"] == records[i]["node"]
+    else:
+        assert reopened == []
 
 
 # -- randomized budget safety (small; the acceptance suite scales this up) -------------
